@@ -7,7 +7,7 @@ classical/quantum breakdowns.
 """
 
 from .diagnostics import Diagnostic, Severity, Span
-from .emit import OutputFormat, RenderOptions, render_csv, render_dot, render_json, render_text
+from .emit import RenderOptions, render_csv, render_dot, render_json, render_text
 from .formatter import format_model
 from .measure import (
     DedupMode,
@@ -63,7 +63,6 @@ __all__ = [
     "Model",
     "MovementKind",
     "Nature",
-    "OutputFormat",
     "ParseResult",
     "PersistentStorage",
     "ProcessMeasure",

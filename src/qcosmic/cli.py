@@ -5,7 +5,7 @@ Exit codes are stable for CI use:
   0  success, no validation errors (warnings allowed)
   1  validation errors found
   2  parse or lexical failure
-  3  usage or I/O error
+  3  usage or I/O error, including input that is not valid UTF-8
 
 Reports go to stdout (or the ``-o`` file); diagnostics go to stderr. The
 two streams never carry each other's content.
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .diagnostics import Diagnostic, has_errors, render_all, sort_key
-from .emit import OutputFormat, RenderOptions, render_csv, render_dot, render_json, render_text
+from .emit import RenderOptions, render_csv, render_dot, render_json, render_text
 from .formatter import format_model
 from .measure import DedupMode, measure_system
 from .model import Model, UnresolvedReferenceError
@@ -103,8 +103,9 @@ def _load(path: str) -> tuple[Model | None, list[Diagnostic], int]:
     """Parse the input file; on failure the exit code is already decided."""
     try:
         text = _read_input(path)
-    except OSError as exc:
-        print(f"qcosmic: cannot read {path}: {exc.strerror or exc}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"qcosmic: cannot read {path}: {reason}", file=sys.stderr)
         return None, [], EXIT_USAGE
     result = parse_model(text, file=path)
     if result.model is None:
@@ -113,46 +114,43 @@ def _load(path: str) -> tuple[Model | None, list[Diagnostic], int]:
     return result.model, result.diagnostics, EXIT_OK
 
 
-def _run_check(args) -> int:
-    model, parse_diags, code = _load(args.input)
+def _load_valid(path: str) -> tuple[Model | None, int]:
+    """Parse and validate the input file; the model is None unless it is error-free."""
+    model, parse_diags, code = _load(path)
     if model is None:
-        return code
-    diagnostics = parse_diags + validate(model)
-    _emit_diagnostics(diagnostics)
-    return EXIT_VALIDATION if has_errors(diagnostics) else EXIT_OK
-
-
-def _run_measure(args) -> int:
-    model, parse_diags, code = _load(args.input)
-    if model is None:
-        return code
+        return None, code
     diagnostics = parse_diags + validate(model)
     _emit_diagnostics(diagnostics)
     if has_errors(diagnostics):
-        return EXIT_VALIDATION
+        return None, EXIT_VALIDATION
+    return model, EXIT_OK
+
+
+def _run_check(args) -> int:
+    return _load_valid(args.input)[1]
+
+
+def _run_measure(args) -> int:
+    model, code = _load_valid(args.input)
+    if model is None:
+        return code
     report = measure_system(model, dedup=DedupMode(args.dedup))
     if args.format == "json":
         text = render_json(report)
     elif args.format == "csv":
         text = render_csv(report)
     else:
-        opts = RenderOptions(format=OutputFormat.TEXT, by_layer=args.by_layer)
-        text = render_text(report, opts)
+        text = render_text(report, RenderOptions(by_layer=args.by_layer))
     _write_output(text, args.output)
     return EXIT_OK
 
 
 def _run_diagram(args) -> int:
-    model, parse_diags, code = _load(args.input)
+    model, code = _load_valid(args.input)
     if model is None:
         return code
-    diagnostics = parse_diags + validate(model)
-    _emit_diagnostics(diagnostics)
-    if has_errors(diagnostics):
-        return EXIT_VALIDATION
-    opts = RenderOptions(format=OutputFormat.DOT, scope=args.scope)
     try:
-        text = render_dot(model, opts)
+        text = render_dot(model, RenderOptions(scope=args.scope))
     except UnresolvedReferenceError as exc:
         print(f"qcosmic: --scope: {exc}", file=sys.stderr)
         return EXIT_USAGE

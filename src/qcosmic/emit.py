@@ -14,7 +14,6 @@ outside the measured-scope cluster.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 from dataclasses import dataclass
@@ -24,6 +23,7 @@ from .model import (
     Conversion,
     EndpointKind,
     FunctionalProcess,
+    INBOUND_KINDS,
     KIND_ORDER,
     Model,
     Nature,
@@ -32,7 +32,6 @@ from .model import (
 )
 
 __all__ = [
-    "OutputFormat",
     "RenderOptions",
     "render_csv",
     "render_dot",
@@ -41,16 +40,8 @@ __all__ = [
 ]
 
 
-class OutputFormat(enum.Enum):
-    TEXT = "text"
-    JSON = "json"
-    CSV = "csv"
-    DOT = "dot"
-
-
 @dataclass(frozen=True)
 class RenderOptions:
-    format: OutputFormat = OutputFormat.TEXT
     by_layer: bool = False
     scope: str | None = None
 
@@ -69,29 +60,18 @@ def render_text(report: MeasurementReport, opts: RenderOptions | None = None) ->
     lines: list[str] = []
 
     if report.per_process:
-        rows = [
-            (p.name, p.layer, p.nature.value, str(p.qcfp), _tally_text(p.tally))
-            for p in report.per_process
-        ]
-        header = ("process", "layer", "nature", "qcfp", "movements")
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))
-        ]
-        lines.append(_row(header, widths))
-        for row in rows:
-            lines.append(_row(row, widths))
-        lines.append("")
-
+        lines += _table(
+            ("process", "layer", "nature", "qcfp", "movements"),
+            [
+                (p.name, p.layer, p.nature.value, str(p.qcfp), _tally_text(p.tally))
+                for p in report.per_process
+            ],
+        )
     if opts.by_layer and report.per_layer:
-        rows = [(l.name, l.nature.value, str(l.qcfp)) for l in report.per_layer]
-        header = ("layer", "nature", "qcfp")
-        widths = [
-            max(len(header[i]), *(len(row[i]) for row in rows)) for i in range(len(header))
-        ]
-        lines.append(_row(header, widths))
-        for row in rows:
-            lines.append(_row(row, widths))
-        lines.append("")
+        lines += _table(
+            ("layer", "nature", "qcfp"),
+            [(l.name, l.nature.value, str(l.qcfp)) for l in report.per_layer],
+        )
 
     totals = report.totals
     lines.append(
@@ -106,8 +86,13 @@ def render_text(report: MeasurementReport, opts: RenderOptions | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def _row(cells, widths) -> str:
-    return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
+def _table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """Left-aligned columns two spaces apart, then a blank line."""
+    widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+    return [
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+        for row in (header, *rows)
+    ] + [""]
 
 
 # -- json ---------------------------------------------------------------------
@@ -203,7 +188,7 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
     Edge count for a scoped diagram equals the process's unique movement
     count. Raises UnresolvedReferenceError when the scope names no process.
     """
-    opts = opts or RenderOptions(format=OutputFormat.DOT)
+    opts = opts or RenderOptions()
     scoped: FunctionalProcess | None = None
     if opts.scope is not None:
         scoped = model.process(opts.scope)
@@ -300,9 +285,6 @@ def _participants(scoped, movements, model):
     return users, storages, layers, processes
 
 
-_INBOUND = frozenset({"E", "QE", "R", "QR"})
-
-
 def _edge(process: FunctionalProcess, movement) -> str:
     cp = movement.counterpart
     process_id = _dq(f"process {process.name}")
@@ -310,13 +292,13 @@ def _edge(process: FunctionalProcess, movement) -> str:
     if cp.kind is EndpointKind.LAYER:
         cp_id = _dq(f"layer {cp.name}")
         cluster = _dq(f"cluster layer {cp.name}")
-        side = "ltail" if movement.kind.value in _INBOUND else "lhead"
+        side = "ltail" if movement.kind in INBOUND_KINDS else "lhead"
         attrs.append(f"{side}={cluster}")
     else:
         cp_id = _dq(f"{cp.kind.value} {cp.name}")
     if movement_is_quantum(movement.kind):
         attrs.append("penwidth=2")
-    if movement.kind.value in _INBOUND:
+    if movement.kind in INBOUND_KINDS:
         left, right = cp_id, process_id
     else:
         left, right = process_id, cp_id

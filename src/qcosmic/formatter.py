@@ -13,27 +13,14 @@ from .model import (
     DataGroup,
     DataMovement,
     FunctionalProcess,
+    INBOUND_KINDS,
     Model,
-    MovementKind,
 )
 from .parser import MOVEMENT_KEYWORDS
 
 __all__ = ["format_model", "format_movement"]
 
 _KIND_WORDS = {kind: word for word, kind in MOVEMENT_KEYWORDS.items()}
-
-#: Canonical preposition per kind; entries and reads come from somewhere,
-#: exits and writes go to somewhere.
-_PREPOSITIONS = {
-    MovementKind.E: "from",
-    MovementKind.QE: "from",
-    MovementKind.R: "from",
-    MovementKind.QR: "from",
-    MovementKind.X: "to",
-    MovementKind.QX: "to",
-    MovementKind.W: "to",
-    MovementKind.QW: "to",
-}
 
 _STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
 
@@ -110,7 +97,8 @@ def format_movement(movement: DataMovement) -> str:
     parts = [
         _KIND_WORDS[movement.kind],
         _quote(movement.data_group),
-        _PREPOSITIONS[movement.kind],
+        # entries and reads come from somewhere, exits and writes go to somewhere
+        "from" if movement.kind in INBOUND_KINDS else "to",
         movement.counterpart.kind.value,
         _quote(movement.counterpart.name),
     ]

@@ -14,6 +14,10 @@ explicitly; data groups and processes derive it:
   measurement conversion;
 * the system is quantum iff any element is quantum.
 
+Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
+index that the model builds once, at construction; when a hand-built model
+declares a name twice, the first declaration wins.
+
 Everything here is immutable and hashable; all operations are pure.
 """
 
@@ -76,17 +80,11 @@ class MovementKind(enum.Enum):
 #: Movement kinds that target persistent storage.
 STORAGE_KINDS = frozenset({MovementKind.R, MovementKind.W, MovementKind.QR, MovementKind.QW})
 
+#: Movement kinds whose data flows from the counterpart into the process.
+INBOUND_KINDS = frozenset({MovementKind.E, MovementKind.QE, MovementKind.R, MovementKind.QR})
+
 #: Canonical column/tally order for reports.
-KIND_ORDER = (
-    MovementKind.E,
-    MovementKind.X,
-    MovementKind.R,
-    MovementKind.W,
-    MovementKind.QE,
-    MovementKind.QX,
-    MovementKind.QR,
-    MovementKind.QW,
-)
+KIND_ORDER = tuple(MovementKind)
 
 
 class Conversion(enum.Enum):
@@ -176,33 +174,46 @@ class Model:
     storages: tuple[PersistentStorage, ...] = ()
     data_groups: tuple[DataGroup, ...] = ()
     processes: tuple[FunctionalProcess, ...] = ()
+    # category -> name -> first declaration of that name
+    _index: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_index", {
+            category: {d.name: d for d in reversed(declared)}
+            for category, declared in (
+                ("layer", self.layers),
+                ("user", self.users),
+                ("storage", self.storages),
+                ("datagroup", self.data_groups),
+                ("process", self.processes),
+            )
+        })
 
     def is_empty(self) -> bool:
         return not (
             self.layers or self.users or self.storages or self.data_groups or self.processes
         )
 
+    def _lookup(self, category: str, name: str):
+        found = self._index[category].get(name)
+        if found is None:
+            raise UnresolvedReferenceError(category, name)
+        return found
+
     def layer(self, name: str) -> Layer:
-        return _find(self.layers, name, "layer")
+        return self._lookup("layer", name)
 
     def user(self, name: str) -> FunctionalUser:
-        return _find(self.users, name, "user")
+        return self._lookup("user", name)
 
     def storage(self, name: str) -> PersistentStorage:
-        return _find(self.storages, name, "storage")
+        return self._lookup("storage", name)
 
     def data_group(self, name: str) -> DataGroup:
-        return _find(self.data_groups, name, "datagroup")
+        return self._lookup("datagroup", name)
 
     def process(self, name: str) -> FunctionalProcess:
-        return _find(self.processes, name, "process")
-
-
-def _find(items, name: str, category: str):
-    for item in items:
-        if item.name == name:
-            return item
-    raise UnresolvedReferenceError(category, name)
+        return self._lookup("process", name)
 
 
 def movement_is_quantum(kind: MovementKind) -> bool:

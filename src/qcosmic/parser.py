@@ -99,6 +99,7 @@ MOVEMENT_KEYWORDS = {
 }
 
 _DECL_KEYWORDS = frozenset({"layer", "user", "storage", "datagroup", "process"})
+_SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
 _NATURES = {"classical": Nature.CLASSICAL, "quantum": Nature.QUANTUM}
 _ENDPOINT_KINDS = {
     "user": EndpointKind.USER,
@@ -211,10 +212,6 @@ class ParseResult:
     model: Model | None
     diagnostics: list[Diagnostic] = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.model is not None
-
 
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.qcm`` source into a fully resolved model."""
@@ -223,7 +220,7 @@ def parse_model(text: str, file: str = "<input>") -> ParseResult:
     model = parser.parse()
     diagnostics.extend(parser.diagnostics)
     if model is not None:
-        _check_references(model, parser, diagnostics)
+        _check_references(parser, diagnostics)
     if has_errors(diagnostics):
         return ParseResult(None, diagnostics)
     return ParseResult(model, diagnostics)
@@ -237,9 +234,10 @@ class _Parser:
         self.file = file
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
-        # spans of referencing tokens, used for resolution errors
-        self.reference_spans: dict[tuple[str, str, int], Span] = {}
-        self._ref_counter = 0
+        # category -> name -> declaration, in declaration order
+        self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
+        # (category, name, span) of every referencing token, for resolution errors
+        self.reference_spans: list[tuple[str, str, Span]] = []
 
     # -- token helpers ------------------------------------------------------
 
@@ -308,9 +306,15 @@ class _Parser:
         self.error(f"expected 'classical' or 'quantum', found {self._describe(self.current)}")
         return None
 
+    def declare(self, category: str, name_tok: Token, decl) -> None:
+        names = self.declared[category]
+        if name_tok.text in names:
+            self.duplicate(category, name_tok.text, name_tok.span)
+        else:
+            names[name_tok.text] = decl
+
     def record_reference(self, category: str, name: str, span: Span) -> None:
-        self._ref_counter += 1
-        self.reference_spans[(category, name, self._ref_counter)] = span
+        self.reference_spans.append((category, name, span))
 
     # -- grammar ------------------------------------------------------------
 
@@ -324,20 +328,14 @@ class _Parser:
             return None
 
         purpose, scope = self._parse_headers()
-        layers: list[Layer] = []
-        users: list[FunctionalUser] = []
-        storages: list[PersistentStorage] = []
-        data_groups: list[DataGroup] = []
-        processes: list[FunctionalProcess] = []
-
         while not self.at_punct("}") and self.current.kind is not TokenKind.EOI:
             tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in ("layer", "user", "storage"):
-                self._parse_simple_decl(tok.text, layers, users, storages)
+            if tok.kind is TokenKind.KEYWORD and tok.text in _SIMPLE_DECLS:
+                self._parse_simple_decl(tok.text)
             elif self.at_keyword("datagroup"):
-                self._parse_datagroup(data_groups)
+                self._parse_datagroup()
             elif self.at_keyword("process"):
-                self._parse_process(processes)
+                self._parse_process()
             elif self.at_keyword("purpose", "scope"):
                 self.error(f"{tok.text!r} must appear before declarations")
                 self.advance()
@@ -354,15 +352,16 @@ class _Parser:
             if self.current.kind is not TokenKind.EOI:
                 self.error(f"unexpected content after system block: {self._describe(self.current)}")
 
+        declared = {category: tuple(names.values()) for category, names in self.declared.items()}
         model = Model(
             name=name_tok.text,
             purpose=purpose,
             scope=scope,
-            layers=tuple(layers),
-            users=tuple(users),
-            storages=tuple(storages),
-            data_groups=tuple(data_groups),
-            processes=tuple(processes),
+            layers=declared["layer"],
+            users=declared["user"],
+            storages=declared["storage"],
+            data_groups=declared["datagroup"],
+            processes=declared["process"],
         )
         if model.is_empty():
             self.diagnostics.append(
@@ -395,37 +394,23 @@ class _Parser:
                 scope = value_tok.text
         return purpose or "", scope or ""
 
-    def _parse_simple_decl(self, category, layers, users, storages) -> None:
+    def _parse_simple_decl(self, category: str) -> None:
         self.advance()
         nature = self.expect_nature()
         name_tok = self.expect_string(f"{category} name") if nature is not None else None
         if nature is None or name_tok is None:
             self._sync_top_level()
             return
-        name, span = name_tok.text, name_tok.span
-        if category == "layer":
-            if any(d.name == name for d in layers):
-                self.duplicate("layer", name, span)
-            else:
-                layers.append(Layer(name, nature, span=span))
-        elif category == "user":
-            if any(d.name == name for d in users):
-                self.duplicate("user", name, span)
-            else:
-                users.append(FunctionalUser(name, nature, span=span))
-        else:
-            if any(d.name == name for d in storages):
-                self.duplicate("storage", name, span)
-            else:
-                storages.append(PersistentStorage(name, nature, span=span))
+        decl = _SIMPLE_DECLS[category](name_tok.text, nature, span=name_tok.span)
+        self.declare(category, name_tok, decl)
 
-    def _parse_datagroup(self, data_groups: list[DataGroup]) -> None:
+    def _parse_datagroup(self) -> None:
         self.advance()
         name_tok = self.expect_string("datagroup name")
         if name_tok is None or self.expect_punct("{") is None:
             self._sync_top_level()
             return
-        attributes: list[Attribute] = []
+        attributes: dict[str, Attribute] = {}
         while not self.at_punct("}") and self.current.kind is not TokenKind.EOI:
             if not self.at_keyword("attr"):
                 self.error(f"expected 'attr' or '}}', found {self._describe(self.current)}")
@@ -449,21 +434,18 @@ class _Parser:
                 if not self._sync_body({"attr"}):
                     return
                 continue
-            if any(a.name == attr_tok.text for a in attributes):
+            if attr_tok.text in attributes:
                 self.duplicate("attribute", attr_tok.text, attr_tok.span)
             else:
-                attributes.append(Attribute(attr_tok.text, nature))
+                attributes[attr_tok.text] = Attribute(attr_tok.text, nature)
         if self.at_punct("}"):
             self.advance()
         else:
             self.error("expected '}' to close the datagroup block")
-        name, span = name_tok.text, name_tok.span
-        if any(g.name == name for g in data_groups):
-            self.duplicate("datagroup", name, span)
-        else:
-            data_groups.append(DataGroup(name, tuple(attributes), span=span))
+        group = DataGroup(name_tok.text, tuple(attributes.values()), span=name_tok.span)
+        self.declare("datagroup", name_tok, group)
 
-    def _parse_process(self, processes: list[FunctionalProcess]) -> None:
+    def _parse_process(self) -> None:
         self.advance()
         name_tok = self.expect_string("process name")
         if name_tok is None:
@@ -514,19 +496,10 @@ class _Parser:
         if self.at_punct("}"):
             self.advance()
 
-        name, span = name_tok.text, name_tok.span
-        if any(p.name == name for p in processes):
-            self.duplicate("process", name, span)
-        else:
-            processes.append(
-                FunctionalProcess(
-                    name,
-                    layer_tok.text,
-                    movements=tuple(movements),
-                    uses=tuple(uses),
-                    span=span,
-                )
-            )
+        process = FunctionalProcess(
+            name_tok.text, layer_tok.text, tuple(movements), tuple(uses), span=name_tok.span
+        )
+        self.declare("process", name_tok, process)
 
     def _parse_movement(self) -> DataMovement | None:
         kind_tok = self.advance()
@@ -591,17 +564,10 @@ class _Parser:
         return False
 
 
-def _check_references(model: Model, parser: _Parser, diagnostics: list[Diagnostic]) -> None:
+def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
     """Report S3 for every reference that names no declaration."""
-    declared = {
-        "layer": {d.name for d in model.layers},
-        "user": {d.name for d in model.users},
-        "storage": {d.name for d in model.storages},
-        "datagroup": {d.name for d in model.data_groups},
-        "process": {d.name for d in model.processes},
-    }
-    for (category, name, _), span in parser.reference_spans.items():
-        if name not in declared[category]:
+    for category, name, span in parser.reference_spans:
+        if name not in parser.declared[category]:
             diagnostics.append(
                 Diagnostic(
                     Severity.ERROR,

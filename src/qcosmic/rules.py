@@ -83,13 +83,9 @@ def _warning(code: str, message: str, subject: str, span=None) -> Diagnostic:
 
 
 def _counterpart_nature(endpoint: Endpoint, model: Model) -> Nature:
-    if endpoint.kind is EndpointKind.USER:
-        return model.user(endpoint.name).nature
-    if endpoint.kind is EndpointKind.STORAGE:
-        return model.storage(endpoint.name).nature
-    if endpoint.kind is EndpointKind.LAYER:
-        return model.layer(endpoint.name).nature
-    return process_nature(model.process(endpoint.name), model)
+    if endpoint.kind is EndpointKind.PROCESS:
+        return process_nature(model.process(endpoint.name), model)
+    return model._lookup(endpoint.kind.value, endpoint.name).nature
 
 
 def _movements(model: Model) -> Iterator[tuple[FunctionalProcess, DataMovement]]:
@@ -299,48 +295,60 @@ def _rule_r9(model: Model) -> Iterator[Diagnostic]:
 
 
 def _cycles(model: Model) -> list[tuple[str, ...]]:
-    """Strongly connected components of the uses graph that form cycles."""
+    """Strongly connected components of the uses graph that form cycles.
+
+    Tarjan's algorithm with an explicit stack of (node, successor iterator)
+    frames, so a uses chain of any depth stays within Python's recursion
+    limit. Uses of undeclared names are not edges.
+    """
     order = [p.name for p in model.processes]
-    edges = {p.name: [u for u in p.uses] for p in model.processes}
+    edges = {p.name: p.uses for p in model.processes}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
-    counter = 0
+    frames: list[tuple[str, Iterator[str]]] = []
     components: list[list[str]] = []
 
-    def strongconnect(node: str) -> None:
-        nonlocal counter
-        index[node] = low[node] = counter
-        counter += 1
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
         stack.append(node)
         on_stack.add(node)
-        for succ in edges.get(node, ()):
-            if succ not in edges:
-                continue
-            if succ not in index:
-                strongconnect(succ)
-                low[node] = min(low[node], low[succ])
-            elif succ in on_stack:
-                low[node] = min(low[node], index[succ])
-        if low[node] == index[node]:
-            component = []
-            while True:
-                member = stack.pop()
-                on_stack.discard(member)
-                component.append(member)
-                if member == node:
-                    break
-            components.append(component)
+        frames.append((node, iter(edges[node])))
 
-    for name in order:
-        if name not in index:
-            strongconnect(name)
+    for root in order:
+        if root in index:
+            continue
+        visit(root)
+        while frames:
+            node, successors = frames[-1]
+            for succ in successors:
+                if succ not in edges:
+                    continue
+                if succ not in index:
+                    visit(succ)
+                    break
+                if succ in on_stack:
+                    low[node] = min(low[node], index[succ])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == index[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        on_stack.discard(member)
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
 
     cycles: list[tuple[str, ...]] = []
     position = {name: i for i, name in enumerate(order)}
     for component in components:
-        if len(component) > 1 or component[0] in edges.get(component[0], ()):
+        if len(component) > 1 or component[0] in edges[component[0]]:
             cycles.append(tuple(sorted(component, key=position.__getitem__)))
     cycles.sort(key=lambda c: position[c[0]])
     return cycles

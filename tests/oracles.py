@@ -60,6 +60,34 @@ def brute_force_process_nature(process, model: Model) -> Nature:
     return Nature.CLASSICAL
 
 
+def brute_force_cycles(model: Model) -> list[tuple[str, ...]]:
+    """Cycles of the uses graph by mutual reachability.
+
+    Two processes share a cycle iff each reaches the other; a process is on
+    a cycle iff it reaches itself. Uses of undeclared names are ignored.
+    Members are listed in declaration order, cycles by their first member.
+    """
+    names = [p.name for p in model.processes]
+    uses = {p.name: [u for u in p.uses if u in names] for p in model.processes}
+    reach: dict[str, list[str]] = {}
+    for start in names:
+        seen: list[str] = []
+        todo = list(uses[start])
+        while todo:
+            node = todo.pop()
+            if node not in seen:
+                seen.append(node)
+                todo.extend(uses[node])
+        reach[start] = seen
+    cycles: list[tuple[str, ...]] = []
+    for name in names:
+        if name in reach[name]:
+            members = tuple(m for m in names if m in reach[name] and name in reach[m])
+            if members not in cycles:
+                cycles.append(members)
+    return cycles
+
+
 def brute_force_system_nature(model: Model) -> Nature:
     """Exhaustive OR over every element nature in the model."""
     natures = []

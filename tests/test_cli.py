@@ -55,6 +55,16 @@ class TestExitCodes:
         assert code == 3
         assert "cannot read" in err
 
+    @pytest.mark.parametrize("command", ["check", "measure", "diagram", "fmt"])
+    def test_non_utf8_input(self, capsys, tmp_path, command):
+        source = tmp_path / "bad.qcm"
+        source.write_bytes(b'system "x" {\xff}')
+        code, out, err = run(capsys, command, str(source))
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"qcosmic: cannot read {source}: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "measure", fixture("factoring.qcm"), "--bogus")
         assert code == 3

@@ -7,7 +7,6 @@ import json
 import pytest
 
 from qcosmic import (
-    OutputFormat,
     RenderOptions,
     UnresolvedReferenceError,
     measure_system,
@@ -142,13 +141,13 @@ class TestDot:
         assert render_dot(model) == 'digraph "Empty" {\n}\n'
 
     def test_scope_diagram_has_exactly_the_unique_movement_edges(self, factoring_model):
-        opts = RenderOptions(format=OutputFormat.DOT, scope="Factor Large Integer")
+        opts = RenderOptions(scope="Factor Large Integer")
         dot = render_dot(factoring_model, opts)
         edges = [l for l in dot.splitlines() if " -> " in l]
         assert len(edges) == 6
 
     def test_unknown_scope_raises(self, factoring_model):
-        opts = RenderOptions(format=OutputFormat.DOT, scope="Nonexistent")
+        opts = RenderOptions(scope="Nonexistent")
         with pytest.raises(UnresolvedReferenceError):
             render_dot(factoring_model, opts)
 
@@ -178,7 +177,7 @@ class TestDot:
         assert any("label=uses" in l for l in whole.splitlines())
         scoped = render_dot(
             factoring_model,
-            RenderOptions(format=OutputFormat.DOT, scope="Break RSA"),
+            RenderOptions(scope="Break RSA"),
         )
         assert not any("label=uses" in l for l in scoped.splitlines())
 

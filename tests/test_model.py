@@ -106,6 +106,17 @@ class TestProcessNature:
             process_nature(process, model)
         assert "missing" in str(exc.value)
 
+    def test_first_declaration_of_a_name_wins(self):
+        first, second = Layer("l", C), Layer("l", Q)
+        model = Model(name="m", layers=(first, second))
+        assert model.layer("l") is first
+
+    def test_unresolved_data_group_names_its_category(self):
+        with pytest.raises(UnresolvedReferenceError) as exc:
+            small_model().data_group("nope")
+        assert exc.value.category == "datagroup"
+        assert exc.value.name == "nope"
+
     def test_agrees_with_brute_force_over_corpus(self):
         rng = random.Random(11)
         for _ in range(150):

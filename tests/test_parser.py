@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from qcosmic import (
     Conversion,
     EndpointKind,
@@ -111,6 +113,48 @@ class TestParseModel:
         assert result.model is None
         assert [d.code for d in result.diagnostics] == ["S2"]
         assert "duplicate layer" in result.diagnostics[0].message
+
+    @pytest.mark.parametrize(
+        "category,first,second",
+        [
+            ("layer", 'layer classical "X"', 'layer quantum "X"'),
+            ("user", 'user classical "X"', 'user quantum "X"'),
+            ("storage", 'storage classical "X"', 'storage classical "X"'),
+            ("datagroup", 'datagroup "X" {}', 'datagroup "X" { attr a: quantum }'),
+            ("process", 'process "X" in layer "A" {}', 'process "X" in layer "A" {}'),
+        ],
+    )
+    def test_duplicate_declaration_of_each_category(self, category, first, second):
+        text = f'system "S" {{\n  layer classical "A"\n  {first}\n  {second}\n}}\n'
+        result = parse_model(text, file="d.qcm")
+        assert result.model is None
+        assert [d.code for d in result.diagnostics] == ["S2"]
+        d = result.diagnostics[0]
+        assert d.message == f"duplicate {category} name 'X'"
+        assert (d.span.line, d.span.column, d.span.length) == (4, 3 + second.index('"X"'), 3)
+
+    @pytest.mark.parametrize(
+        "category,statement",
+        [
+            ("layer", 'process "Q" in layer "ghost" {}'),
+            ("process", 'process "Q" in layer "A" uses "ghost" {}'),
+            ("datagroup", 'process "Q" in layer "A" { entry "ghost" from user "U" }'),
+            ("user", 'process "Q" in layer "A" { entry "g" from user "ghost" }'),
+            ("storage", 'process "Q" in layer "A" { read "g" from storage "ghost" }'),
+        ],
+    )
+    def test_unresolved_reference_of_each_category(self, category, statement):
+        text = (
+            'system "S" {\n  layer classical "A"\n  user classical "U"\n'
+            f'  storage classical "D"\n  datagroup "g" {{}}\n  {statement}\n}}\n'
+        )
+        result = parse_model(text, file="r.qcm")
+        assert result.model is None
+        assert [d.code for d in result.diagnostics] == ["S3"]
+        d = result.diagnostics[0]
+        assert d.message == f"unresolved {category} reference 'ghost'"
+        assert d.subject == "ghost"
+        assert (d.span.line, d.span.column) == (6, 3 + statement.index('"ghost"'))
 
     def test_headers(self):
         result = parse_model('system "S" { purpose "p" scope "s" layer classical "A" }')

@@ -9,6 +9,8 @@ import pytest
 
 from qcosmic import (
     Conversion,
+    FunctionalProcess,
+    Model,
     Nature,
     Severity,
     data_group_nature,
@@ -18,9 +20,23 @@ from qcosmic import (
 )
 from conftest import load_fixture
 from gen import random_model
+from oracles import brute_force_cycles
+from qcosmic.rules import _cycles
 
 ERROR_RULES = ["R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
 WARNING_RULES = ["P1", "P2", "P3"]
+
+
+def uses_chain(length: int, ring: bool) -> Model:
+    """Processes p0..pN-1 where each uses the next; in a ring the last uses p0."""
+    lines = ['system "S" {', '  layer classical "L"']
+    for i in range(length):
+        target = (i + 1) % length if ring or i + 1 < length else None
+        uses = f' uses "p{target}"' if target is not None else ""
+        lines.append(f'  process "p{i}" in layer "L"{uses} {{}}')
+    result = parse_model("\n".join(lines + ["}"]))
+    assert result.model is not None
+    return result.model
 
 
 def check_fixture(name: str):
@@ -118,12 +134,41 @@ class TestRuleDetails:
         model = parse_model(text).model
         assert any(d.code == "R9" for d in validate(model))
 
+    def test_r9_deep_acyclic_chain(self):
+        diagnostics = validate(uses_chain(3000, ring=False))
+        assert not any(d.code == "R9" for d in diagnostics)
+
+    def test_r9_deep_ring_is_one_cycle_in_declaration_order(self):
+        r9 = [d for d in validate(uses_chain(3000, ring=True)) if d.code == "R9"]
+        assert len(r9) == 1
+        chain = " -> ".join([f"p{i}" for i in range(3000)] + ["p0"])
+        assert r9[0].message == f"cyclic uses chain: {chain}"
+        assert r9[0].subject == "p0"
+
     def test_p3_message_mentions_cfpv5(self):
         diagnostics = check_fixture("warn_p3.qcm")
         assert "CFPv5" in diagnostics[0].message
 
 
 class TestInvariants:
+    def test_cycles_agree_with_brute_force(self):
+        # small random uses graphs with self-loops, repeated and dangling uses
+        rng = random.Random(29)
+        shapes = set()
+        for _ in range(300):
+            names = [f"p{i}" for i in range(rng.randrange(1, 9))]
+            pool = names + ["ghost"]
+            processes = tuple(
+                FunctionalProcess(name, "L", uses=tuple(rng.choices(pool, k=rng.randrange(4))))
+                for name in names
+            )
+            model = Model(name="m", processes=processes)
+            cycles = _cycles(model)
+            assert cycles == brute_force_cycles(model)
+            shapes.update(len(c) for c in cycles)
+            shapes.add(f"{len(cycles)} cycles")
+        assert {1, 2, 3, "0 cycles", "2 cycles", "3 cycles"} <= shapes
+
     def test_determinism(self, factoring_text):
         model = parse_model(factoring_text).model
         assert validate(model) == validate(model)
