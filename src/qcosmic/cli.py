@@ -6,6 +6,7 @@ Exit codes are stable for CI use:
   1  validation errors found
   2  parse or lexical failure
   3  usage or I/O error, including input that is not valid UTF-8
+  4  internal error: a fault in qcosmic itself, never reported as 0 or 1
 
 Reports go to stdout (or the ``-o`` file); diagnostics go to stderr. The
 two streams never carry each other's content.
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -187,6 +189,11 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"qcosmic: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # CI reads 0 as clean and 1 as validation errors; a fault in qcosmic
+        # must not pass for either, nor end in a traceback
+        print(f"qcosmic: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

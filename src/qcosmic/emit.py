@@ -30,6 +30,7 @@ from .model import (
     movement_is_quantum,
     process_nature,
 )
+from .parser import quote  # DOT IDs escape quotes, backslashes and line breaks as .qcm does
 
 __all__ = [
     "RenderOptions",
@@ -157,13 +158,6 @@ def render_csv(report: MeasurementReport) -> str:
 # -- dot ----------------------------------------------------------------------
 
 
-_DOT_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-
-def _dq(value: str) -> str:
-    return '"' + "".join(_DOT_ESCAPES.get(ch, ch) for ch in value) + '"'
-
-
 def _html(value: str) -> str:
     return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
@@ -171,7 +165,7 @@ def _html(value: str) -> str:
 def _label(name: str, nature: Nature) -> str:
     if nature is Nature.QUANTUM:
         return f"<<B>{_html(name)}</B>>"
-    return _dq(name)
+    return quote(name)
 
 
 def _node(node_id: str, name: str, nature: Nature, shape: str, indent: str = "  ") -> str:
@@ -194,7 +188,7 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
         scoped = model.process(opts.scope)
 
     if model.is_empty():
-        return f"digraph {_dq(model.name)} {{\n}}\n"
+        return f"digraph {quote(model.name)} {{\n}}\n"
 
     drawn_processes = [scoped] if scoped else list(model.processes)
     movements = [
@@ -217,33 +211,33 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
         if process.layer in by_layer:
             by_layer[process.layer].append(name)
 
-    lines = [f"digraph {_dq(model.name)} {{"]
+    lines = [f"digraph {quote(model.name)} {{"]
     lines.append("  rankdir=LR;")
     lines.append("  compound=true;")
 
     for name in users:
         user = model.user(name)
-        lines.append(_node(_dq(f"user {name}"), name, user.nature, "ellipse"))
+        lines.append(_node(quote(f"user {name}"), name, user.nature, "ellipse"))
     for name in storages:
         storage = model.storage(name)
-        lines.append(_node(_dq(f"storage {name}"), name, storage.nature, "cylinder"))
+        lines.append(_node(quote(f"storage {name}"), name, storage.nature, "cylinder"))
 
     if layers:
-        lines.append(f"  subgraph {_dq('cluster software')} {{")
-        lines.append(f"    label={_dq(model.name)};")
+        lines.append(f"  subgraph {quote('cluster software')} {{")
+        lines.append(f"    label={quote(model.name)};")
         lines.append("    style=dashed;")
         for layer_name in layers:
             layer = model.layer(layer_name)
             peripheries = 2 if layer.nature is Nature.QUANTUM else 1
-            lines.append(f"    subgraph {_dq(f'cluster layer {layer_name}')} {{")
+            lines.append(f"    subgraph {quote(f'cluster layer {layer_name}')} {{")
             lines.append(f"      label={_label(layer_name, layer.nature)};")
             lines.append(f"      peripheries={peripheries};")
-            lines.append(f"      {_dq(f'layer {layer_name}')} [shape=point, style=invis];")
+            lines.append(f"      {quote(f'layer {layer_name}')} [shape=point, style=invis];")
             for process_name in by_layer[layer_name]:
                 process = model.process(process_name)
                 nature = process_nature(process, model)
                 lines.append(
-                    _node(_dq(f"process {process_name}"), process_name, nature, "box", indent=" " * 6)
+                    _node(quote(f"process {process_name}"), process_name, nature, "box", indent=" " * 6)
                 )
             lines.append("    }")
         lines.append("  }")
@@ -255,7 +249,7 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
         for process in model.processes:
             for used in process.uses:
                 lines.append(
-                    f"  {_dq(f'process {process.name}')} -> {_dq(f'process {used}')} "
+                    f"  {quote(f'process {process.name}')} -> {quote(f'process {used}')} "
                     "[label=uses, style=dashed, arrowhead=open];"
                 )
 
@@ -287,15 +281,15 @@ def _participants(scoped, movements, model):
 
 def _edge(process: FunctionalProcess, movement) -> str:
     cp = movement.counterpart
-    process_id = _dq(f"process {process.name}")
-    attrs = [f"label={_dq(_edge_label(movement))}"]
+    process_id = quote(f"process {process.name}")
+    attrs = [f"label={quote(_edge_label(movement))}"]
     if cp.kind is EndpointKind.LAYER:
-        cp_id = _dq(f"layer {cp.name}")
-        cluster = _dq(f"cluster layer {cp.name}")
+        cp_id = quote(f"layer {cp.name}")
+        cluster = quote(f"cluster layer {cp.name}")
         side = "ltail" if movement.kind in INBOUND_KINDS else "lhead"
         attrs.append(f"{side}={cluster}")
     else:
-        cp_id = _dq(f"{cp.kind.value} {cp.name}")
+        cp_id = quote(f"{cp.kind.value} {cp.name}")
     if movement_is_quantum(movement.kind):
         attrs.append("penwidth=2")
     if movement.kind in INBOUND_KINDS:

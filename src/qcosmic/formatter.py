@@ -16,32 +16,26 @@ from .model import (
     INBOUND_KINDS,
     Model,
 )
-from .parser import MOVEMENT_KEYWORDS
+from .parser import MOVEMENT_KEYWORDS, quote
 
 __all__ = ["format_model", "format_movement"]
 
 _KIND_WORDS = {kind: word for word, kind in MOVEMENT_KEYWORDS.items()}
 
-_STRING_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t", "\r": "\\r"}
-
-
-def _quote(value: str) -> str:
-    return '"' + "".join(_STRING_ESCAPES.get(ch, ch) for ch in value) + '"'
-
 
 def format_model(model: Model) -> str:
     """Render a model as canonical source text."""
     if model.is_empty() and not model.purpose and not model.scope:
-        return f"system {_quote(model.name)} {{}}\n"
+        return f"system {quote(model.name)} {{}}\n"
 
-    lines: list[str] = [f"system {_quote(model.name)} {{"]
+    lines: list[str] = [f"system {quote(model.name)} {{"]
     sections: list[list[str]] = []
 
     header: list[str] = []
     if model.purpose:
-        header.append(f"  purpose {_quote(model.purpose)}")
+        header.append(f"  purpose {quote(model.purpose)}")
     if model.scope:
-        header.append(f"  scope {_quote(model.scope)}")
+        header.append(f"  scope {quote(model.scope)}")
     if header:
         sections.append(header)
 
@@ -52,7 +46,7 @@ def format_model(model: Model) -> str:
     ):
         if declared:
             sections.append(
-                [f"  {category} {d.nature.value} {_quote(d.name)}" for d in declared]
+                [f"  {category} {d.nature.value} {quote(d.name)}" for d in declared]
             )
 
     for group in model.data_groups:
@@ -69,7 +63,7 @@ def format_model(model: Model) -> str:
 
 
 def _format_group(group: DataGroup) -> list[str]:
-    head = f"  datagroup {_quote(group.name)}"
+    head = f"  datagroup {quote(group.name)}"
     if not group.attributes:
         return [head + " {}"]
     lines = [head + " {"]
@@ -80,9 +74,9 @@ def _format_group(group: DataGroup) -> list[str]:
 
 
 def _format_process(process: FunctionalProcess) -> list[str]:
-    head = f"  process {_quote(process.name)} in layer {_quote(process.layer)}"
+    head = f"  process {quote(process.name)} in layer {quote(process.layer)}"
     if process.uses:
-        head += " uses " + ", ".join(_quote(u) for u in process.uses)
+        head += " uses " + ", ".join(quote(u) for u in process.uses)
     if not process.movements:
         return [head + " {}"]
     lines = [head + " {"]
@@ -96,11 +90,11 @@ def format_movement(movement: DataMovement) -> str:
     """One movement statement in canonical form, without indentation."""
     parts = [
         _KIND_WORDS[movement.kind],
-        _quote(movement.data_group),
+        quote(movement.data_group),
         # entries and reads come from somewhere, exits and writes go to somewhere
         "from" if movement.kind in INBOUND_KINDS else "to",
         movement.counterpart.kind.value,
-        _quote(movement.counterpart.name),
+        quote(movement.counterpart.name),
     ]
     if movement.conversion is not Conversion.NONE:
         parts += ["via", movement.conversion.value]

@@ -21,6 +21,12 @@ double-quoted with backslash escapes. Grammar sketch::
     endpoint   := ("from" | "to") ("user" | "storage" | "process" | "layer") STRING
     conv       := "via" ("prepare" | "measure")
 
+The lexer is one compiled pattern read with ``finditer``, one match per
+token, so lexing runs at the regex engine's speed rather than one Python
+step per character. A token records only its offset and length; its line
+and column are computed on demand from the line-start offsets of the text,
+and the parser asks for them only for what it stores or reports.
+
 The parser recovers at statement boundaries so a single run reports multiple
 errors. A model is only returned when no error-severity diagnostic was
 produced; in particular every reference in a returned model resolves.
@@ -32,6 +38,8 @@ declaration, S3 unresolved reference, W1 empty system (warning).
 from __future__ import annotations
 
 import enum
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .diagnostics import Diagnostic, Severity, Span, has_errors
@@ -57,6 +65,7 @@ __all__ = [
     "Token",
     "TokenKind",
     "parse_model",
+    "quote",
     "tokenize",
 ]
 
@@ -71,9 +80,40 @@ class TokenKind(enum.Enum):
 
 @dataclass(frozen=True, slots=True)
 class Token:
+    """One lexeme: ``length`` code points of source starting at ``offset``.
+
+    ``text`` is the keyword, identifier or punctuation as written, or a
+    string literal's decoded value. ``span`` is computed when asked for.
+    """
+
     kind: TokenKind
     text: str
-    span: Span
+    offset: int
+    length: int
+    lines: _Lines = field(repr=False, compare=False)
+
+    @property
+    def span(self) -> Span:
+        return self.lines.span(self.offset, self.length)
+
+
+class _Lines:
+    """The start offset of every line of one source text.
+
+    ``\\r\\n`` and a lone ``\\r`` each end one line, like ``\\n``; a tab is
+    one column and columns count code points.
+    """
+
+    __slots__ = ("file", "starts")
+
+    def __init__(self, text: str, file: str):
+        self.file = file
+        self.starts = [0]
+        self.starts += [match.end() for match in _NEWLINE.finditer(text)]
+
+    def span(self, offset: int, length: int) -> Span:
+        line = bisect_right(self.starts, offset)
+        return Span(self.file, line, offset - self.starts[line - 1] + 1, length)
 
 
 KEYWORDS = frozenset(
@@ -108,7 +148,25 @@ _ENDPOINT_KINDS = {
     "layer": EndpointKind.LAYER,
 }
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
-_PUNCT = "{}:,"
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_NEWLINE = re.compile(r"\r\n?|\n")
+
+# One match per token. Each match first skips blanks, newlines and comments,
+# then takes exactly one alternative; the numbered groups select the branch.
+_TOKEN = re.compile(
+    r"(?:[ \t\r\n]+|//[^\r\n]*)*"
+    r"(?:"
+    r"([{}:,])"  # 1 punctuation
+    r"|([A-Za-z][A-Za-z0-9_]*)"  # 2 keyword or identifier
+    # 3 string, 4 its undecoded body, 5 the closing quote; an unclosed string
+    # stops before the line break and keeps a backslash that has no escapee
+    r'|("((?:[^"\\\r\n]+|\\[^\r\n])*\\?)(")?)'
+    r"|(\Z)"  # 6 end of input
+    r"|(.)"  # 7 any other character is illegal
+    r")",
+    re.DOTALL,
+)
+_PUNCT, _WORD, _STRING, _BODY, _CLOSE, _END, _OTHER = range(1, 8)
 
 
 def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
@@ -119,86 +177,56 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
     """
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    pos, line, col = 0, 1, 1
-    n = len(text)
-
-    def error(message: str, eline: int, ecol: int, length: int = 1) -> None:
-        diagnostics.append(
-            Diagnostic(Severity.ERROR, "L1", message, span=Span(file, eline, ecol, length))
-        )
-
-    while pos < n:
-        ch = text[pos]
-        if ch == "\n":
-            pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch == "\r":
-            pos += 1
-            if pos < n and text[pos] == "\n":
-                pos += 1
-            line += 1
-            col = 1
-            continue
-        if ch in " \t":
-            pos += 1
-            col += 1
-            continue
-        if ch == "/" and pos + 1 < n and text[pos + 1] == "/":
-            while pos < n and text[pos] not in "\r\n":
-                pos += 1
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(TokenKind.PUNCT, ch, Span(file, line, col, 1)))
-            pos += 1
-            col += 1
-            continue
-        if ch == '"':
-            start_line, start_col, start_pos = line, col, pos
-            pos += 1
-            col += 1
-            value: list[str] = []
-            closed = False
-            while pos < n:
-                c = text[pos]
-                if c == '"':
-                    pos += 1
-                    col += 1
-                    closed = True
-                    break
-                if c in "\r\n":
-                    break
-                if c == "\\" and pos + 1 < n and text[pos + 1] not in "\r\n":
-                    value.append(_ESCAPES.get(text[pos + 1], text[pos + 1]))
-                    pos += 2
-                    col += 2
-                    continue
-                value.append(c)
-                pos += 1
-                col += 1
-            if not closed:
-                error("unterminated string literal", start_line, start_col, pos - start_pos)
-                continue
-            tokens.append(
-                Token(TokenKind.STRING, "".join(value), Span(file, start_line, start_col, pos - start_pos))
-            )
-            continue
-        if ch.isascii() and (ch.isalpha()):
-            start_col, start_pos = col, pos
-            while pos < n and text[pos].isascii() and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-                col += 1
-            word = text[start_pos:pos]
+    lines = _Lines(text, file)
+    append = tokens.append
+    for match in _TOKEN.finditer(text):
+        group = match.lastindex
+        start = match.start(group)
+        if group == _WORD:
+            word = match[_WORD]
             kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            tokens.append(Token(kind, word, Span(file, line, start_col, len(word))))
-            continue
-        error(f"illegal character {ch!r}", line, col)
-        pos += 1
-        col += 1
-
-    tokens.append(Token(TokenKind.EOI, "", Span(file, line, col, 0)))
+            append(Token(kind, word, start, len(word), lines))
+        elif group == _STRING:
+            length = match.end() - start
+            if match[_CLOSE] is None:
+                diagnostics.append(_lex_error("unterminated string literal", lines.span(start, length)))
+                continue
+            value = match[_BODY]
+            if "\\" in value:
+                value = _ESCAPE.sub(_unescape, value)
+            append(Token(TokenKind.STRING, value, start, length, lines))
+        elif group == _PUNCT:
+            append(Token(TokenKind.PUNCT, match[_PUNCT], start, 1, lines))
+        elif group == _END:
+            # Columns do not advance through a comment, so after a comment that
+            # runs to the end of input the end-of-input token sits at its start.
+            tail = max(match.start(), text.rfind("\n") + 1, text.rfind("\r") + 1)
+            comment = text.find("//", tail)
+            append(Token(TokenKind.EOI, "", start if comment < 0 else comment, 0, lines))
+            # the end matches empty, so finditer would match it again after trailing blanks
+            break
+        else:
+            diagnostics.append(_lex_error(f"illegal character {match[_OTHER]!r}", lines.span(start, 1)))
     return tokens, diagnostics
+
+
+def _lex_error(message: str, span: Span) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, "L1", message, span=span)
+
+
+def _unescape(match: re.Match) -> str:
+    return _ESCAPES.get(match[1], match[1])
+
+
+def quote(value: str) -> str:
+    """``value`` as a string literal that ``tokenize`` reads back unchanged."""
+    return '"' + (
+        value.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\t", "\\t")
+        .replace("\r", "\\r")
+    ) + '"'
 
 
 @dataclass
@@ -216,7 +244,7 @@ class ParseResult:
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.qcm`` source into a fully resolved model."""
     tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens, file)
+    parser = _Parser(tokens)
     model = parser.parse()
     diagnostics.extend(parser.diagnostics)
     if model is not None:
@@ -229,15 +257,14 @@ def parse_model(text: str, file: str = "<input>") -> ParseResult:
 class _Parser:
     """Recursive-descent parser with statement-level error recovery."""
 
-    def __init__(self, tokens: list[Token], file: str):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
-        self.file = file
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
-        # (category, name, span) of every referencing token, for resolution errors
-        self.reference_spans: list[tuple[str, str, Span]] = []
+        # (category, name token) of every reference, for resolution errors
+        self.references: list[tuple[str, Token]] = []
 
     # -- token helpers ------------------------------------------------------
 
@@ -313,8 +340,8 @@ class _Parser:
         else:
             names[name_tok.text] = decl
 
-    def record_reference(self, category: str, name: str, span: Span) -> None:
-        self.reference_spans.append((category, name, span))
+    def record_reference(self, category: str, name_tok: Token) -> None:
+        self.references.append((category, name_tok))
 
     # -- grammar ------------------------------------------------------------
 
@@ -458,7 +485,7 @@ class _Parser:
         if layer_tok is None:
             self._sync_top_level()
             return
-        self.record_reference("layer", layer_tok.text, layer_tok.span)
+        self.record_reference("layer", layer_tok)
 
         uses: list[str] = []
         if self.at_keyword("uses"):
@@ -469,7 +496,7 @@ class _Parser:
                     self._sync_top_level()
                     return
                 uses.append(used_tok.text)
-                self.record_reference("process", used_tok.text, used_tok.span)
+                self.record_reference("process", used_tok)
                 if self.at_punct(","):
                     self.advance()
                     continue
@@ -527,8 +554,8 @@ class _Parser:
                 self.error(f"expected 'prepare' or 'measure', found {self._describe(self.current)}")
                 return None
             conversion = Conversion.PREPARE if self.advance().text == "prepare" else Conversion.MEASURE
-        self.record_reference("datagroup", group_tok.text, group_tok.span)
-        self.record_reference(endpoint_kind.value, endpoint_tok.text, endpoint_tok.span)
+        self.record_reference("datagroup", group_tok)
+        self.record_reference(endpoint_kind.value, endpoint_tok)
         return DataMovement(
             kind=kind,
             data_group=group_tok.text,
@@ -566,7 +593,8 @@ class _Parser:
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
     """Report S3 for every reference that names no declaration."""
-    for category, name, span in parser.reference_spans:
+    for category, name_tok in parser.references:
+        name = name_tok.text
         if name not in parser.declared[category]:
             diagnostics.append(
                 Diagnostic(
@@ -574,6 +602,6 @@ def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
                     "S3",
                     f"unresolved {category} reference {name!r}",
                     subject=name,
-                    span=span,
+                    span=name_tok.span,
                 )
             )

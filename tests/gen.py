@@ -243,3 +243,10 @@ def inject_duplicate(model: Model, process_index: int, movement_index: int) -> M
         patched if i == process_index else p for i, p in enumerate(model.processes)
     )
     return dataclasses.replace(model, processes=processes)
+
+
+def hostile_texts(seed: int = 17, count: int = 400) -> list[str]:
+    """Short random strings of keywords and lexer-hostile characters."""
+    rng = random.Random(seed)
+    pool = list('system layer { } : , " \\ // entry via né')
+    return ["".join(rng.choice(pool) for _ in range(rng.randrange(0, 40))) for _ in range(count)]

@@ -7,7 +7,7 @@ production code is meaningful.
 
 from __future__ import annotations
 
-from qcosmic import Model, Nature
+from qcosmic import Diagnostic, Model, Nature, Severity, Span
 
 CLASSICAL_KINDS = {"E", "X", "R", "W"}
 
@@ -101,3 +101,108 @@ def brute_force_system_nature(model: Model) -> Nature:
     if Nature.QUANTUM in natures:
         return Nature.QUANTUM
     return Nature.CLASSICAL
+
+
+REFERENCE_KEYWORDS = frozenset(
+    {
+        "system", "purpose", "scope",
+        "layer", "user", "storage", "datagroup", "attr", "process",
+        "classical", "quantum",
+        "in", "uses", "from", "to", "via", "prepare", "measure",
+        "entry", "exit", "read", "write",
+        "qentry", "qexit", "qread", "qwrite",
+    }
+)
+_REFERENCE_ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+
+
+def reference_tokenize(
+    text: str, file: str = "<input>"
+) -> tuple[list[tuple[str, str, Span]], list[Diagnostic]]:
+    """The character-at-a-time lexer that ``qcosmic.tokenize`` replaced.
+
+    Tokens are ``(kind value, text, span)``. Line and column are tracked
+    while scanning, so agreement checks the line index of the real lexer.
+    """
+    tokens: list[tuple[str, str, Span]] = []
+    diagnostics: list[Diagnostic] = []
+    pos, line, col = 0, 1, 1
+    n = len(text)
+
+    def error(message: str, eline: int, ecol: int, length: int = 1) -> None:
+        diagnostics.append(
+            Diagnostic(Severity.ERROR, "L1", message, span=Span(file, eline, ecol, length))
+        )
+
+    while pos < n:
+        ch = text[pos]
+        if ch == "\n":
+            pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch == "\r":
+            pos += 1
+            if pos < n and text[pos] == "\n":
+                pos += 1
+            line += 1
+            col = 1
+            continue
+        if ch in " \t":
+            pos += 1
+            col += 1
+            continue
+        if ch == "/" and pos + 1 < n and text[pos + 1] == "/":
+            while pos < n and text[pos] not in "\r\n":
+                pos += 1
+            continue
+        if ch in "{}:,":
+            tokens.append(("punctuation", ch, Span(file, line, col, 1)))
+            pos += 1
+            col += 1
+            continue
+        if ch == '"':
+            start_line, start_col, start_pos = line, col, pos
+            pos += 1
+            col += 1
+            value: list[str] = []
+            closed = False
+            while pos < n:
+                c = text[pos]
+                if c == '"':
+                    pos += 1
+                    col += 1
+                    closed = True
+                    break
+                if c in "\r\n":
+                    break
+                if c == "\\" and pos + 1 < n and text[pos + 1] not in "\r\n":
+                    value.append(_REFERENCE_ESCAPES.get(text[pos + 1], text[pos + 1]))
+                    pos += 2
+                    col += 2
+                    continue
+                value.append(c)
+                pos += 1
+                col += 1
+            if not closed:
+                error("unterminated string literal", start_line, start_col, pos - start_pos)
+                continue
+            tokens.append(
+                ("string", "".join(value), Span(file, start_line, start_col, pos - start_pos))
+            )
+            continue
+        if ch.isascii() and (ch.isalpha()):
+            start_col, start_pos = col, pos
+            while pos < n and text[pos].isascii() and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+                col += 1
+            word = text[start_pos:pos]
+            kind = "keyword" if word in REFERENCE_KEYWORDS else "identifier"
+            tokens.append((kind, word, Span(file, line, start_col, len(word))))
+            continue
+        error(f"illegal character {ch!r}", line, col)
+        pos += 1
+        col += 1
+
+    tokens.append(("end-of-input", "", Span(file, line, col, 0)))
+    return tokens, diagnostics

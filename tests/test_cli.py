@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qcosmic import parse_model
+from qcosmic import cli, parse_model
 from qcosmic.cli import main
 from conftest import FIXTURES
 
@@ -64,6 +64,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith(f"qcosmic: cannot read {source}: ")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", ["check", "measure", "diagram", "fmt"])
+    def test_internal_error_exits_four(self, capsys, monkeypatch, command):
+        def broken(text, file):
+            raise RuntimeError("lexer fell over")
+
+        monkeypatch.setattr(cli, "parse_model", broken)
+        code, out, err = run(capsys, command, fixture("factoring.qcm"))
+        assert code == 4
+        assert out == ""
+        assert err == "qcosmic: internal error: RuntimeError: lexer fell over\n"
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "measure", fixture("factoring.qcm"), "--bogus")

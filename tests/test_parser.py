@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qcosmic import (
     Conversion,
@@ -11,9 +13,23 @@ from qcosmic import (
     Nature,
     Severity,
     TokenKind,
+    format_model,
     parse_model,
     tokenize,
 )
+from qcosmic.parser import quote
+from gen import hostile_texts
+
+
+def lexemes(text: str) -> list[tuple[str, str, tuple[int, int, int]]]:
+    tokens, _ = tokenize(text)
+    return [(t.kind.value, t.text, (t.span.line, t.span.column, t.span.length)) for t in tokens]
+
+
+def l1_spans(text: str) -> list[tuple[str, tuple[int, int, int]]]:
+    _, diagnostics = tokenize(text)
+    assert all(d.code == "L1" for d in diagnostics)
+    return [(d.message, (d.span.line, d.span.column, d.span.length)) for d in diagnostics]
 
 
 class TestTokenize:
@@ -83,6 +99,87 @@ class TestTokenize:
         for before, after in zip(tokens, tokens[1:]):
             assert before.span.column + before.span.length <= after.span.column
         assert tokens[-1].kind is TokenKind.EOI
+
+    def test_offset_and_length_locate_the_source(self):
+        text = 'x\r\n  "a\\"b" {'
+        tokens, _ = tokenize(text)
+        assert [(t.offset, t.length) for t in tokens] == [(0, 1), (5, 6), (12, 1), (13, 0)]
+        assert text[5:11] == '"a\\"b"'
+
+    def test_end_of_input_after_trailing_comment_keeps_comment_column(self):
+        # the column never advanced through a comment, and S1 prints this location
+        assert lexemes("layer // tail")[-1] == ("end-of-input", "", (1, 7, 0))
+        result = parse_model('system "S" { // open', file="c.qcm")
+        assert result.diagnostics[0].render() == (
+            "error[S1]: expected '}' to close the system block (c.qcm:1:14)"
+        )
+
+    def test_unterminated_string_keeps_trailing_backslash(self):
+        assert lexemes('"abc\\') == [("end-of-input", "", (1, 6, 0))]
+        assert l1_spans('"abc\\') == [("unterminated string literal", (1, 1, 5))]
+        assert lexemes('"abc\\\nlayer')[0] == ("keyword", "layer", (2, 1, 5))
+        assert l1_spans('"abc\\\nlayer') == [("unterminated string literal", (1, 1, 5))]
+
+    def test_unknown_escape_keeps_the_character(self):
+        assert lexemes('"a\\qb"')[0] == ("string", "aqb", (1, 1, 6))
+
+    def test_lone_slash_is_illegal(self):
+        assert lexemes("/") == [("end-of-input", "", (1, 2, 0))]
+        assert l1_spans("/") == [("illegal character '/'", (1, 1, 1))]
+
+    @pytest.mark.parametrize(
+        "text,line", [("a\rb", 2), ("a\r\nb", 2), ("a\r\rb", 3), ("a\n\rb", 3)]
+    )
+    def test_cr_and_crlf_each_end_one_line(self, text, line):
+        assert lexemes(text)[1] == ("identifier", "b", (line, 1, 1))
+
+    def test_columns_count_code_points(self):
+        assert lexemes('"é€" layer')[:2] == [
+            ("string", "é€", (1, 1, 4)),
+            ("keyword", "layer", (1, 6, 5)),
+        ]
+        assert lexemes("\t\tx")[0] == ("identifier", "x", (1, 3, 1))
+
+    def test_trailing_whitespace_gives_one_end_token(self):
+        assert lexemes("layer  \t\n  ") == [
+            ("keyword", "layer", (1, 1, 5)),
+            ("end-of-input", "", (2, 3, 0)),
+        ]
+
+    @given(st.text())
+    def test_quote_reads_back_as_one_string(self, value):
+        tokens, diagnostics = tokenize(quote(value))
+        assert not diagnostics
+        assert [(t.kind, t.text) for t in tokens] == [
+            (TokenKind.STRING, value),
+            (TokenKind.EOI, ""),
+        ]
+
+
+class TestSizeStress:
+    """Megabyte inputs lex in one pass and never recurse."""
+
+    def test_megabyte_string_literal_round_trips(self):
+        name = ('ab\\"c\n' * 200_000)[:1_000_000]
+        text = f'system "S" {{\n  layer classical {quote(name)}\n}}\n'
+        result = parse_model(text)
+        assert result.model is not None
+        assert result.model.layers[0].name == name
+        assert format_model(result.model) == text
+
+    def test_megabyte_of_whitespace(self):
+        assert lexemes(" \t\r\n" * 250_000) == [("end-of-input", "", (250_001, 1, 0))]
+
+    def test_backslashes_in_unterminated_string(self):
+        text = '"' + "\\" * 500_000
+        assert lexemes(text) == [("end-of-input", "", (1, 500_002, 0))]
+        assert l1_spans(text) == [("unterminated string literal", (1, 1, 500_001))]
+
+    def test_many_comment_lines(self):
+        assert lexemes("// comment\n" * 100_000 + "layer") == [
+            ("keyword", "layer", (100_001, 1, 5)),
+            ("end-of-input", "", (100_001, 6, 0)),
+        ]
 
 
 class TestParseModel:
@@ -282,12 +379,7 @@ class TestParseModel:
         assert result.model.data_groups[0].attributes[0].name == "entry"
 
     def test_hostile_inputs_never_crash(self):
-        import random
-
-        rng = random.Random(17)
-        pool = list('system layer { } : , " \\ // entry via né')
-        for _ in range(400):
-            text = "".join(rng.choice(pool) for _ in range(rng.randrange(0, 40)))
+        for text in hostile_texts():
             result = parse_model(text)  # must diagnose, not raise
             assert result.model is not None or any(
                 d.severity is Severity.ERROR for d in result.diagnostics
