@@ -69,7 +69,11 @@ def _build_parser() -> _ArgumentParser:
         help="movement de-duplication key: include the counterpart (endpoint) "
         "or collapse on kind and data group alone (cosmic)",
     )
-    measure.add_argument("--by-layer", action="store_true", help="include per-layer rows")
+    measure.add_argument(
+        "--by-layer",
+        action="store_true",
+        help="add the per-layer table to the text report (JSON always has layers; CSV has none)",
+    )
     measure.add_argument("-o", "--output", help="write the report to a file instead of stdout")
 
     diagram = sub.add_parser("diagram", help="emit a DOT context diagram")

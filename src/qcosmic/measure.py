@@ -117,13 +117,26 @@ def movement_layer(movement: DataMovement, owner: FunctionalProcess, model: Mode
 
 
 def measure_layer(layer: Layer, model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> int:
-    """QCFP attributed to one layer across all processes."""
-    total = 0
+    """QCFP attributed to one layer across all processes; does not validate."""
+    return _count(model, dedup)[1].get(layer.name, 0)
+
+
+def _count(model: Model, dedup: DedupMode):
+    """The one counting pass: per process (process, unique count, kind
+    tally), QCFP per layer name, and the quantum QCFP."""
+    per_process = []
+    layer_totals: dict[str, int] = {layer.name: 0 for layer in model.layers}
+    quantum_qcfp = 0
     for process in model.processes:
-        for movement in unique_movements(process, dedup):
-            if movement_layer(movement, process, model) == layer.name:
-                total += 1
-    return total
+        unique = unique_movements(process, dedup)
+        tally = {kind: 0 for kind in KIND_ORDER}
+        for movement in unique:
+            tally[movement.kind] += 1
+            layer_totals[movement_layer(movement, process, model)] += 1
+            if movement_is_quantum(movement.kind):
+                quantum_qcfp += 1
+        per_process.append((process, len(unique), tally))
+    return per_process, layer_totals, quantum_qcfp
 
 
 @dataclass(frozen=True)
@@ -174,28 +187,11 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
     if has_errors(diagnostics):
         raise UnvalidatedModelError(diagnostics)
 
-    per_process: list[ProcessMeasure] = []
-    layer_totals: dict[str, int] = {layer.name: 0 for layer in model.layers}
-    quantum_qcfp = 0
-
-    for process in model.processes:
-        unique = unique_movements(process, dedup)
-        tally = {kind: 0 for kind in KIND_ORDER}
-        for movement in unique:
-            tally[movement.kind] += 1
-            layer_totals[movement_layer(movement, process, model)] += 1
-            if movement_is_quantum(movement.kind):
-                quantum_qcfp += 1
-        per_process.append(
-            ProcessMeasure(
-                name=process.name,
-                layer=process.layer,
-                nature=process_nature(process, model),
-                qcfp=len(unique),
-                tally=tally,
-            )
-        )
-
+    counted, layer_totals, quantum_qcfp = _count(model, dedup)
+    per_process = tuple(
+        ProcessMeasure(process.name, process.layer, process_nature(process, model), qcfp, tally)
+        for process, qcfp, tally in counted
+    )
     total_qcfp = sum(p.qcfp for p in per_process)
     classical_qcfp = total_qcfp - quantum_qcfp
     per_layer = tuple(
@@ -204,7 +200,7 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
     )
     return MeasurementReport(
         system_name=model.name,
-        per_process=tuple(per_process),
+        per_process=per_process,
         per_layer=per_layer,
         totals=Totals(
             total_qcfp=total_qcfp,

@@ -16,7 +16,11 @@ explicitly; data groups and processes derive it:
 
 Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
 index that the model builds once, at construction; when a hand-built model
-declares a name twice, the first declaration wins.
+declares a name twice, the first declaration wins. Derived facts (the
+system's nature, each declared process's nature, the rule catalog's
+findings) are computed on first use and kept in a private per-model memo,
+which takes no part in equality or hashing; ``dataclasses.replace`` gives
+the new model an empty one.
 
 Everything here is immutable and hashable; all operations are pure.
 """
@@ -176,8 +180,11 @@ class Model:
     processes: tuple[FunctionalProcess, ...] = ()
     # category -> name -> first declaration of that name
     _index: dict = field(init=False, compare=False, repr=False)
+    # key -> derived fact, filled on first use (see _memo)
+    _derived: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "_derived", {})
         object.__setattr__(self, "_index", {
             category: {d.name: d for d in reversed(declared)}
             for category, declared in (
@@ -193,6 +200,17 @@ class Model:
         return not (
             self.layers or self.users or self.storages or self.data_groups or self.processes
         )
+
+    def _memo(self, key, compute):
+        """The fact stored under ``key``, computed by ``compute()`` on first use.
+
+        Concurrent first uses may both compute it; the results are equal.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = compute()
+            return value
 
     def _lookup(self, category: str, name: str):
         found = self._index[category].get(name)
@@ -235,7 +253,15 @@ def process_nature(process: FunctionalProcess, model: Model) -> Nature:
     Quantum iff the containing layer is quantum, any movement touches a
     quantum data group, or any movement carries a nonzero conversion.
     Raises UnresolvedReferenceError when a reference does not resolve.
+    The result is kept in the model's memo when ``process`` is the model's
+    own declaration of that name.
     """
+    if model._index["process"].get(process.name) is process:
+        return model._memo(("process", process.name), lambda: _process_nature(process, model))
+    return _process_nature(process, model)
+
+
+def _process_nature(process: FunctionalProcess, model: Model) -> Nature:
     if model.layer(process.layer).nature is Nature.QUANTUM:
         return Nature.QUANTUM
     for movement in process.movements:
@@ -248,6 +274,10 @@ def process_nature(process: FunctionalProcess, model: Model) -> Nature:
 
 def system_nature(model: Model) -> Nature:
     """Quantum iff any layer, user, storage, data group, or process is quantum."""
+    return model._memo("system", lambda: _system_nature(model))
+
+
+def _system_nature(model: Model) -> Nature:
     for declared in (*model.layers, *model.users, *model.storages):
         if declared.nature is Nature.QUANTUM:
             return Nature.QUANTUM

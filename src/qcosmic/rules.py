@@ -35,6 +35,7 @@ from .model import (
     Endpoint,
     EndpointKind,
     FunctionalProcess,
+    Layer,
     Model,
     MovementKind,
     Nature,
@@ -52,26 +53,18 @@ def validate(model: Model) -> list[Diagnostic]:
     """Check a resolved model against the rule catalog.
 
     Returns the findings in stable order (file position, then code). An
-    empty error set means the model is measurable.
+    empty error set means the model is measurable. The catalog runs once
+    per model: later calls return a new list of the same findings.
     """
+    return list(model._memo("validate", lambda: _run_catalog(model)))
+
+
+def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
     diagnostics: list[Diagnostic] = []
-    for rule in (
-        _rule_r1,
-        _rule_r2,
-        _rule_r3,
-        _rule_r4,
-        _rule_r5,
-        _rule_r6,
-        _rule_r7,
-        _rule_r8,
-        _rule_r9,
-        _rule_p1,
-        _rule_p2,
-        _rule_p3,
-    ):
+    for rule in (_rule_r1, _rule_movements, _rule_r8, _rule_r9, _rule_p1, _rule_p2, _rule_p3):
         diagnostics.extend(rule(model))
     diagnostics.sort(key=sort_key)
-    return diagnostics
+    return tuple(diagnostics)
 
 
 def _error(code: str, message: str, subject: str, span=None) -> Diagnostic:
@@ -109,142 +102,74 @@ def _rule_r1(model: Model) -> Iterator[Diagnostic]:
         )
 
 
-def _rule_r2(model: Model) -> Iterator[Diagnostic]:
-    for process, movement in _movements(model):
-        to_storage = movement.counterpart.kind is EndpointKind.STORAGE
-        if movement.kind in STORAGE_KINDS and not to_storage:
-            yield _error(
-                "R2",
-                f"{format_movement(movement)}: read and write movements must target storage",
-                process.name,
-                movement.span,
-            )
-        elif movement.kind not in STORAGE_KINDS and to_storage:
-            yield _error(
-                "R2",
-                f"{format_movement(movement)}: entry and exit movements cannot target storage",
-                process.name,
-                movement.span,
-            )
+def _rule_movements(model: Model) -> Iterator[Diagnostic]:
+    """R2-R7 in one sweep: each movement's findings, in code order."""
+    for process in model.processes:
+        layer = model.layer(process.layer)
+        for movement in process.movements:
+            group = data_group_nature(model.data_group(movement.data_group))
+            counterpart = _counterpart_nature(movement.counterpart, model)
+            for code, message in _movement_findings(movement, layer, group, counterpart):
+                yield _error(
+                    code, f"{format_movement(movement)}: {message}", process.name, movement.span
+                )
 
 
-def _rule_r3(model: Model) -> Iterator[Diagnostic]:
-    for process, movement in _movements(model):
-        if movement.counterpart.kind is not EndpointKind.STORAGE:
-            continue
-        if movement.kind not in STORAGE_KINDS:
-            continue  # R2 already reports the category mismatch
-        storage = model.storage(movement.counterpart.name)
-        quantum_kind = movement_is_quantum(movement.kind)
-        if storage.nature is Nature.QUANTUM and not quantum_kind:
-            yield _error(
-                "R3",
-                f"{format_movement(movement)}: quantum storage accepts only qread/qwrite",
-                process.name,
-                movement.span,
+def _movement_findings(
+    movement: DataMovement, layer: Layer, group: Nature, counterpart: Nature
+) -> Iterator[tuple[str, str]]:
+    kind, cp, conversion = movement.kind, movement.counterpart, movement.conversion
+    quantum_kind = movement_is_quantum(kind)
+    to_storage = cp.kind is EndpointKind.STORAGE
+    # R2: read/write target storage, entry/exit do not. R3 (storage nature
+    # matches the kind family) applies once R2 holds.
+    if kind in STORAGE_KINDS and not to_storage:
+        yield "R2", "read and write movements must target storage"
+    elif kind not in STORAGE_KINDS and to_storage:
+        yield "R2", "entry and exit movements cannot target storage"
+    elif to_storage and counterpart is Nature.QUANTUM and not quantum_kind:
+        yield "R3", "quantum storage accepts only qread/qwrite"
+    elif to_storage and counterpart is Nature.CLASSICAL and quantum_kind:
+        yield "R3", "classical storage accepts only read/write"
+    # R4: classical structures may only exchange classical payloads. A
+    # quantum movement without a conversion is quantum end to end, so
+    # neither its counterpart nor its owning layer may be classical.
+    # Storage counterparts are R3's concern.
+    if quantum_kind and conversion is Conversion.NONE:
+        if layer.nature is Nature.CLASSICAL:
+            yield "R4", f"quantum data handled inside classical layer {layer.name!r}"
+        if not to_storage and counterpart is Nature.CLASSICAL:
+            yield "R4", (
+                f"classical {cp.kind.value} {cp.name!r} "
+                "cannot exchange quantum data without a conversion"
             )
-        elif storage.nature is Nature.CLASSICAL and quantum_kind:
-            yield _error(
-                "R3",
-                f"{format_movement(movement)}: classical storage accepts only read/write",
-                process.name,
-                movement.span,
+    # R5: prepare only on a qentry, measure only on a qexit, both in a
+    # quantum-layer process facing a classical counterpart.
+    if conversion is not Conversion.NONE:
+        word = conversion.value
+        required = MovementKind.QE if conversion is Conversion.PREPARE else MovementKind.QX
+        if kind is not required:
+            yield "R5", (
+                f"'via {word}' is only legal on "
+                f"{'qentry' if required is MovementKind.QE else 'qexit'} movements"
             )
-
-
-def _rule_r4(model: Model) -> Iterator[Diagnostic]:
-    # Classical structures may only exchange classical payloads. A quantum
-    # movement without a conversion is quantum end to end, so neither its
-    # counterpart nor its owning layer may be classical. Storage
-    # counterparts are R3's concern.
-    for process, movement in _movements(model):
-        if not movement_is_quantum(movement.kind):
-            continue
-        if movement.conversion is not Conversion.NONE:
-            continue
-        if model.layer(process.layer).nature is Nature.CLASSICAL:
-            yield _error(
-                "R4",
-                f"{format_movement(movement)}: quantum data handled inside classical layer "
-                f"{process.layer!r}",
-                process.name,
-                movement.span,
+        elif layer.nature is not Nature.QUANTUM:
+            yield "R5", "conversion crossings belong to a process in a quantum layer"
+        elif counterpart is not Nature.CLASSICAL:
+            yield "R5", (
+                f"'via {word}' crosses from or to a classical element, "
+                "but the counterpart is quantum"
             )
-        cp = movement.counterpart
-        if cp.kind is EndpointKind.STORAGE:
-            continue
-        if _counterpart_nature(cp, model) is Nature.CLASSICAL:
-            yield _error(
-                "R4",
-                f"{format_movement(movement)}: classical {cp.kind.value} {cp.name!r} "
-                "cannot exchange quantum data without a conversion",
-                process.name,
-                movement.span,
-            )
-
-
-def _rule_r5(model: Model) -> Iterator[Diagnostic]:
-    for process, movement in _movements(model):
-        if movement.conversion is Conversion.NONE:
-            continue
-        word = movement.conversion.value
-        required = MovementKind.QE if movement.conversion is Conversion.PREPARE else MovementKind.QX
-        if movement.kind is not required:
-            yield _error(
-                "R5",
-                f"{format_movement(movement)}: 'via {word}' is only legal on "
-                f"{'qentry' if required is MovementKind.QE else 'qexit'} movements",
-                process.name,
-                movement.span,
-            )
-            continue
-        if model.layer(process.layer).nature is not Nature.QUANTUM:
-            yield _error(
-                "R5",
-                f"{format_movement(movement)}: conversion crossings belong to a process "
-                "in a quantum layer",
-                process.name,
-                movement.span,
-            )
-            continue
-        if _counterpart_nature(movement.counterpart, model) is not Nature.CLASSICAL:
-            yield _error(
-                "R5",
-                f"{format_movement(movement)}: 'via {word}' crosses from or to a classical "
-                "element, but the counterpart is quantum",
-                process.name,
-                movement.span,
-            )
-
-
-def _rule_r6(model: Model) -> Iterator[Diagnostic]:
-    for process, movement in _movements(model):
-        group = model.data_group(movement.data_group)
-        if data_group_nature(group) is Nature.QUANTUM and not movement_is_quantum(movement.kind):
-            yield _error(
-                "R6",
-                f"{format_movement(movement)}: quantum data group {group.name!r} requires "
-                "a quantum movement kind",
-                process.name,
-                movement.span,
-            )
-
-
-def _rule_r7(model: Model) -> Iterator[Diagnostic]:
-    for process, movement in _movements(model):
-        if not movement_is_quantum(movement.kind):
-            continue
-        if movement.conversion is not Conversion.NONE:
-            continue  # the payload starts or ends classical by design
-        group = model.data_group(movement.data_group)
-        if data_group_nature(group) is Nature.CLASSICAL:
-            yield _error(
-                "R7",
-                f"{format_movement(movement)}: classical data group {group.name!r} moves via "
-                "a quantum kind but never converts",
-                process.name,
-                movement.span,
-            )
+    # R6/R7: a quantum group moves only via quantum kinds; a classical group
+    # moves via a quantum kind only when the payload starts or ends
+    # classical by design (a conversion).
+    if group is Nature.QUANTUM and not quantum_kind:
+        yield "R6", f"quantum data group {movement.data_group!r} requires a quantum movement kind"
+    elif group is Nature.CLASSICAL and quantum_kind and conversion is Conversion.NONE:
+        yield "R7", (
+            f"classical data group {movement.data_group!r} moves via "
+            "a quantum kind but never converts"
+        )
 
 
 _MIRROR_SENDS = {MovementKind.X: False, MovementKind.QX: True}

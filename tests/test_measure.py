@@ -116,6 +116,22 @@ class TestMeasureLayer:
         assert measure_layer(model.layer("Empty"), model) == 0
 
 
+    def test_counts_a_model_with_errors_without_validating(self):
+        model = parse_model(load_fixture("bad_r3.qcm")).model
+        layered = sum(measure_layer(layer, model) for layer in model.layers)
+        assert layered == sum(measure_process(p) for p in model.processes)
+
+    @pytest.mark.parametrize("dedup", list(DedupMode))
+    def test_agrees_with_measure_system_over_corpus(self, dedup):
+        rng = random.Random(43)
+        for _ in range(50):
+            model = random_model(rng)
+            report = measure_system(model, dedup)
+            assert [measure_layer(layer, model, dedup) for layer in model.layers] == [
+                l.qcfp for l in report.per_layer
+            ]
+
+
 class TestMeasureSystem:
     def test_factoring_totals(self, factoring_model):
         report = measure_system(factoring_model)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcosmic import (
     Attribute,
+    Conversion,
     DataGroup,
     DataMovement,
     Endpoint,
@@ -26,6 +28,7 @@ from qcosmic import (
     movement_is_quantum,
     process_nature,
     system_nature,
+    validate,
 )
 from gen import random_model
 from oracles import brute_force_process_nature, brute_force_system_nature
@@ -152,6 +155,41 @@ class TestSystemNature:
         for _ in range(150):
             model = random_model(rng)
             assert system_nature(model) is brute_force_system_nature(model)
+
+
+class TestDerivedFacts:
+    def test_replaced_model_derives_its_own_facts(self):
+        model = small_model()
+        process = model.processes[0]
+        assert process_nature(process, model) is C
+        assert system_nature(model) is C
+        assert [d.code for d in validate(model)] == ["P3"]
+        flipped = dataclasses.replace(model, layers=(Layer("l", Q),))
+        assert flipped.processes[0] is process
+        assert process_nature(process, flipped) is Q
+        assert system_nature(flipped) is Q
+        assert [d.code for d in validate(flipped)] == ["R1"]
+        # the original keeps its own facts
+        assert process_nature(process, model) is C
+        assert [d.code for d in validate(model)] == ["P3"]
+
+    def test_foreign_process_with_a_declared_name_is_derived_from_itself(self):
+        model = small_model()
+        assert process_nature(model.processes[0], model) is C
+        converting = DataMovement(
+            MovementKind.QE, "g", Endpoint(EndpointKind.USER, "u"), Conversion.PREPARE
+        )
+        foreign = FunctionalProcess("p", "l", (converting,))
+        assert process_nature(foreign, model) is Q
+        assert process_nature(model.processes[0], model) is C
+
+    def test_memo_takes_no_part_in_equality_or_hashing(self):
+        fresh, used = small_model(), small_model()
+        system_nature(used)
+        validate(used)
+        assert fresh == used
+        assert hash(fresh) == hash(used)
+        assert "_derived" not in repr(used)
 
 
 class TestMovementIsQuantum:

@@ -8,17 +8,27 @@ import random
 import pytest
 
 from qcosmic import (
+    Attribute,
     Conversion,
+    DataGroup,
+    DataMovement,
+    Endpoint,
+    EndpointKind,
     FunctionalProcess,
+    FunctionalUser,
+    Layer,
     Model,
+    MovementKind,
     Nature,
     Severity,
     data_group_nature,
+    measure_system,
     movement_is_quantum,
     parse_model,
     validate,
 )
-from conftest import load_fixture
+from qcosmic import cli, rules
+from conftest import FIXTURES, load_fixture
 from gen import random_model
 from oracles import brute_force_cycles
 from qcosmic.rules import _cycles
@@ -252,3 +262,89 @@ class TestInvariants:
         diagnostics = validate(model)
         positions = [(d.span.line, d.span.column) if d.span else (0, 0) for d in diagnostics]
         assert positions == sorted(positions)
+
+
+def count_catalog_runs(monkeypatch) -> list:
+    """Record each run of the rule catalog through one of its rules."""
+    runs = []
+    original = rules._rule_r9
+
+    def counted(model):
+        runs.append(model)
+        return original(model)
+
+    monkeypatch.setattr(rules, "_rule_r9", counted)
+    return runs
+
+
+class TestCatalogRunsOnce:
+    @pytest.mark.parametrize(
+        "argv",
+        [["check"], ["measure"], ["measure", "--format", "json"], ["diagram"]],
+    )
+    def test_each_command_runs_the_catalog_once(self, monkeypatch, capsys, argv):
+        runs = count_catalog_runs(monkeypatch)
+        assert cli.main([argv[0], str(FIXTURES / "factoring.qcm"), *argv[1:]]) == 0
+        assert len(runs) == 1
+
+    def test_validate_then_measure_runs_the_catalog_once(self, monkeypatch, factoring_text):
+        model = parse_model(factoring_text).model
+        runs = count_catalog_runs(monkeypatch)
+        validate(model)
+        assert measure_system(model).totals.total_qcfp == 10
+        assert len(runs) == 1
+
+    def test_validate_returns_equal_but_distinct_lists(self):
+        model = parse_model(load_fixture("bad_r4.qcm")).model
+        first = validate(model)
+        expected = list(first)
+        first.append(first[0])
+        second = validate(model)
+        assert second == expected
+        assert second is not first
+
+
+def test_spanless_order_across_processes_and_within_a_movement():
+    # Without spans every sort key is ("", 0, 0, code, subject), so findings
+    # of one code and subject keep the sweep's order: declaration order of
+    # processes and movements, and R4's layer finding before its
+    # counterpart finding on the same movement.
+    user = Endpoint(EndpointKind.USER, "U")
+    model = Model(
+        name="S",
+        layers=(Layer("C", Nature.CLASSICAL), Layer("Q", Nature.QUANTUM)),
+        users=(FunctionalUser("U", Nature.CLASSICAL),),
+        data_groups=(
+            DataGroup("cg"),
+            DataGroup("qg", (Attribute("s", Nature.QUANTUM),)),
+        ),
+        processes=(
+            FunctionalProcess("B", "C", (
+                DataMovement(MovementKind.QX, "qg", user),
+                DataMovement(MovementKind.E, "qg", user),
+                DataMovement(MovementKind.R, "cg", user),
+                DataMovement(MovementKind.W, "cg", user),
+            )),
+            FunctionalProcess("A", "Q", (
+                DataMovement(MovementKind.E, "qg", user),
+                DataMovement(MovementKind.W, "cg", user),
+                DataMovement(MovementKind.QE, "cg", user),
+            )),
+        ),
+    )
+    assert [(d.code, d.subject, d.message) for d in validate(model)] == [
+        ("R2", "A", 'write "cg" to user "U": read and write movements must target storage'),
+        ("R2", "B", 'read "cg" from user "U": read and write movements must target storage'),
+        ("R2", "B", 'write "cg" to user "U": read and write movements must target storage'),
+        ("R4", "A", 'qentry "cg" from user "U": classical user \'U\' '
+                    "cannot exchange quantum data without a conversion"),
+        ("R4", "B", 'qexit "qg" to user "U": quantum data handled inside classical layer \'C\''),
+        ("R4", "B", 'qexit "qg" to user "U": classical user \'U\' '
+                    "cannot exchange quantum data without a conversion"),
+        ("R6", "A", 'entry "qg" from user "U": quantum data group \'qg\' '
+                    "requires a quantum movement kind"),
+        ("R6", "B", 'entry "qg" from user "U": quantum data group \'qg\' '
+                    "requires a quantum movement kind"),
+        ("R7", "A", 'qentry "cg" from user "U": classical data group \'cg\' moves via '
+                    "a quantum kind but never converts"),
+    ]
