@@ -9,7 +9,8 @@ Exit codes are stable for CI use:
   4  internal error: a fault in qcosmic itself, never reported as 0 or 1
 
 Reports go to stdout (or the ``-o`` file); diagnostics go to stderr. The
-two streams never carry each other's content.
+two streams never carry each other's content. A report on stdout is UTF-8,
+byte-identical to the ``-o`` file, whatever the locale's encoding.
 """
 
 from __future__ import annotations
@@ -99,10 +100,15 @@ def _emit_diagnostics(diagnostics: list[Diagnostic]) -> None:
 
 
 def _write_output(text: str, output: str | None) -> None:
-    if output is None:
-        sys.stdout.write(text)
+    data = text.encode("utf-8")
+    if output is not None:
+        Path(output).write_bytes(data)
+    elif hasattr(sys.stdout, "buffer"):
+        # past the text layer, whose encoding may not hold every name
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        Path(output).write_text(text, encoding="utf-8")
+        sys.stdout.write(text)
 
 
 def _load(path: str) -> tuple[Model | None, list[Diagnostic], int]:

@@ -60,6 +60,14 @@ class Diagnostic:
         return text
 
 
+def error(code: str, message: str, subject: str = "", span: Span | None = None) -> Diagnostic:
+    return Diagnostic(Severity.ERROR, code, message, subject=subject, span=span)
+
+
+def warning(code: str, message: str, subject: str = "", span: Span | None = None) -> Diagnostic:
+    return Diagnostic(Severity.WARNING, code, message, subject=subject, span=span)
+
+
 def sort_key(diag: Diagnostic) -> tuple:
     """Stable ordering: file position, then code, then subject."""
     if diag.span is None:

@@ -27,9 +27,15 @@ step per character. A token records only its offset and length; its line
 and column are computed on demand from the line-start offsets of the text,
 and the parser asks for them only for what it stores or reports.
 
-The parser recovers at statement boundaries so a single run reports multiple
-errors. A model is only returned when no error-severity diagnostic was
-produced; in particular every reference in a returned model resolves.
+The parser reads tokens through two helpers: ``at`` tests the current token
+and ``expect`` takes it, so every S1 that expects a token reads
+``expected <what>, found <token>``. The parser recovers at statement
+boundaries so a single run reports multiple errors, and each block has one
+recovery point: a failed declaration or process header skips to the next
+top-level statement, and a failed attribute, or a token that starts no
+movement, skips to the next attribute or movement of its block. A model is
+only returned when no error-severity diagnostic was produced; in particular
+every reference in a returned model resolves.
 
 Diagnostic codes: L1 lexical error, S1 syntax error, S2 duplicate
 declaration, S3 unresolved reference, W1 empty system (warning).
@@ -42,7 +48,7 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .diagnostics import Diagnostic, Severity, Span, has_errors
+from .diagnostics import Diagnostic, Span, error, has_errors, warning
 from .model import (
     Attribute,
     Conversion,
@@ -139,6 +145,10 @@ MOVEMENT_KEYWORDS = {
 }
 
 _DECL_KEYWORDS = frozenset({"layer", "user", "storage", "datagroup", "process"})
+# where recovery stops: the start of a top-level statement, or of an attribute
+_TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
+_ATTR_STARTERS = frozenset({"attr"})
+_MOVEMENT_STARTERS = frozenset(MOVEMENT_KEYWORDS)
 _SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
 _NATURES = {"classical": Nature.CLASSICAL, "quantum": Nature.QUANTUM}
 _ENDPOINT_KINDS = {
@@ -147,6 +157,7 @@ _ENDPOINT_KINDS = {
     "process": EndpointKind.PROCESS,
     "layer": EndpointKind.LAYER,
 }
+_CONVERSIONS = {"prepare": Conversion.PREPARE, "measure": Conversion.MEASURE}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _NEWLINE = re.compile(r"\r\n?|\n")
@@ -189,7 +200,8 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
         elif group == _STRING:
             length = match.end() - start
             if match[_CLOSE] is None:
-                diagnostics.append(_lex_error("unterminated string literal", lines.span(start, length)))
+                span = lines.span(start, length)
+                diagnostics.append(error("L1", "unterminated string literal", span=span))
                 continue
             value = match[_BODY]
             if "\\" in value:
@@ -206,12 +218,9 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
             # the end matches empty, so finditer would match it again after trailing blanks
             break
         else:
-            diagnostics.append(_lex_error(f"illegal character {match[_OTHER]!r}", lines.span(start, 1)))
+            message = f"illegal character {match[_OTHER]!r}"
+            diagnostics.append(error("L1", message, span=lines.span(start, 1)))
     return tokens, diagnostics
-
-
-def _lex_error(message: str, span: Span) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, "L1", message, span=span)
 
 
 def _unescape(match: re.Match) -> str:
@@ -278,29 +287,31 @@ class _Parser:
             self.pos += 1
         return token
 
-    def at_keyword(self, *words: str) -> bool:
-        tok = self.current
-        return tok.kind is TokenKind.KEYWORD and tok.text in words
+    def at(self, *words: str) -> bool:
+        """The current token is one of ``words``, never a string that reads as one."""
+        tok = self.tokens[self.pos]
+        return tok.kind is not TokenKind.STRING and tok.text in words
 
-    def at_punct(self, ch: str) -> bool:
-        tok = self.current
-        return tok.kind is TokenKind.PUNCT and tok.text == ch
+    def expect(self, what: str, *words: str) -> Token | None:
+        """Take one of ``words``, or a string literal when no words are given.
 
-    def error(self, message: str, span: Span | None = None, subject: str = "") -> None:
-        self.diagnostics.append(
-            Diagnostic(Severity.ERROR, "S1", message, subject=subject, span=span or self.current.span)
-        )
+        Otherwise report ``expected {what}, found {token}`` at the current
+        token and take nothing.
+        """
+        if (self.at(*words) if words else self.current.kind is TokenKind.STRING):
+            return self.advance()
+        self.error(f"expected {what}, found {self._describe(self.current)}")
+        return None
+
+    def expect_nature(self) -> Nature | None:
+        tok = self.expect("'classical' or 'quantum'", *_NATURES)
+        return tok and _NATURES[tok.text]
+
+    def error(self, message: str) -> None:
+        self.diagnostics.append(error("S1", message, span=self.current.span))
 
     def duplicate(self, category: str, name: str, span: Span) -> None:
-        self.diagnostics.append(
-            Diagnostic(
-                Severity.ERROR,
-                "S2",
-                f"duplicate {category} name {name!r}",
-                subject=name,
-                span=span,
-            )
-        )
+        self.diagnostics.append(error("S2", f"duplicate {category} name {name!r}", name, span))
 
     def _describe(self, token: Token) -> str:
         if token.kind is TokenKind.EOI:
@@ -309,30 +320,6 @@ class _Parser:
             return f'string "{token.text}"'
         return f"{token.text!r}"
 
-    def expect_keyword(self, word: str) -> Token | None:
-        if self.at_keyword(word):
-            return self.advance()
-        self.error(f"expected {word!r}, found {self._describe(self.current)}")
-        return None
-
-    def expect_punct(self, ch: str) -> Token | None:
-        if self.at_punct(ch):
-            return self.advance()
-        self.error(f"expected {ch!r}, found {self._describe(self.current)}")
-        return None
-
-    def expect_string(self, what: str) -> Token | None:
-        if self.current.kind is TokenKind.STRING:
-            return self.advance()
-        self.error(f"expected {what} string, found {self._describe(self.current)}")
-        return None
-
-    def expect_nature(self) -> Nature | None:
-        if self.at_keyword("classical", "quantum"):
-            return _NATURES[self.advance().text]
-        self.error(f"expected 'classical' or 'quantum', found {self._describe(self.current)}")
-        return None
-
     def declare(self, category: str, name_tok: Token, decl) -> None:
         names = self.declared[category]
         if name_tok.text in names:
@@ -340,30 +327,23 @@ class _Parser:
         else:
             names[name_tok.text] = decl
 
-    def record_reference(self, category: str, name_tok: Token) -> None:
-        self.references.append((category, name_tok))
-
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Model | None:
-        if self.expect_keyword("system") is None:
-            return None
-        name_tok = self.expect_string("system name")
-        if name_tok is None:
-            return None
-        if self.expect_punct("{") is None:
+        name_tok = self.expect("'system'", "system") and self.expect("system name string")
+        if name_tok is None or self.expect("'{'", "{") is None:
             return None
 
         purpose, scope = self._parse_headers()
-        while not self.at_punct("}") and self.current.kind is not TokenKind.EOI:
+        while not self.at("}") and self.current.kind is not TokenKind.EOI:
             tok = self.current
             if tok.kind is TokenKind.KEYWORD and tok.text in _SIMPLE_DECLS:
                 self._parse_simple_decl(tok.text)
-            elif self.at_keyword("datagroup"):
+            elif self.at("datagroup"):
                 self._parse_datagroup()
-            elif self.at_keyword("process"):
+            elif self.at("process"):
                 self._parse_process()
-            elif self.at_keyword("purpose", "scope"):
+            elif self.at("purpose", "scope"):
                 self.error(f"{tok.text!r} must appear before declarations")
                 self.advance()
                 if self.current.kind is TokenKind.STRING:
@@ -391,41 +371,28 @@ class _Parser:
             processes=declared["process"],
         )
         if model.is_empty():
-            self.diagnostics.append(
-                Diagnostic(
-                    Severity.WARNING,
-                    "W1",
-                    "empty system: no declarations",
-                    subject=model.name,
-                    span=name_tok.span,
-                )
-            )
+            message = "empty system: no declarations"
+            self.diagnostics.append(warning("W1", message, model.name, name_tok.span))
         return model
 
     def _parse_headers(self) -> tuple[str, str]:
-        purpose: str | None = None
-        scope: str | None = None
-        while self.at_keyword("purpose", "scope"):
+        headers: dict[str, str] = {}
+        while self.at("purpose", "scope"):
             word = self.advance().text
-            value_tok = self.expect_string(word)
+            value_tok = self.expect(f"{word} string")
             if value_tok is None:
                 self._sync_top_level()
                 continue
-            if word == "purpose":
-                if purpose is not None:
-                    self.duplicate("purpose header", word, value_tok.span)
-                purpose = value_tok.text
-            else:
-                if scope is not None:
-                    self.duplicate("scope header", word, value_tok.span)
-                scope = value_tok.text
-        return purpose or "", scope or ""
+            if word in headers:
+                self.duplicate(f"{word} header", word, value_tok.span)
+            headers[word] = value_tok.text
+        return headers.get("purpose", ""), headers.get("scope", "")
 
     def _parse_simple_decl(self, category: str) -> None:
         self.advance()
         nature = self.expect_nature()
-        name_tok = self.expect_string(f"{category} name") if nature is not None else None
-        if nature is None or name_tok is None:
+        name_tok = nature and self.expect(f"{category} name string")
+        if name_tok is None:
             self._sync_top_level()
             return
         decl = _SIMPLE_DECLS[category](name_tok.text, nature, span=name_tok.span)
@@ -433,80 +400,48 @@ class _Parser:
 
     def _parse_datagroup(self) -> None:
         self.advance()
-        name_tok = self.expect_string("datagroup name")
-        if name_tok is None or self.expect_punct("{") is None:
+        name_tok = self.expect("datagroup name string")
+        if name_tok is None or self.expect("'{'", "{") is None:
             self._sync_top_level()
             return
         attributes: dict[str, Attribute] = {}
-        while not self.at_punct("}") and self.current.kind is not TokenKind.EOI:
-            if not self.at_keyword("attr"):
-                self.error(f"expected 'attr' or '}}', found {self._describe(self.current)}")
-                if not self._sync_body({"attr"}):
-                    return
-                continue
-            self.advance()
-            attr_tok = self.current
-            if attr_tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
-                self.error(f"expected attribute name, found {self._describe(attr_tok)}")
-                if not self._sync_body({"attr"}):
-                    return
-                continue
-            self.advance()
-            if self.expect_punct(":") is None:
-                if not self._sync_body({"attr"}):
-                    return
-                continue
-            nature = self.expect_nature()
-            if nature is None:
-                if not self._sync_body({"attr"}):
-                    return
-                continue
-            if attr_tok.text in attributes:
-                self.duplicate("attribute", attr_tok.text, attr_tok.span)
-            else:
-                attributes[attr_tok.text] = Attribute(attr_tok.text, nature)
-        if self.at_punct("}"):
+        while not self.at("}") and self.current.kind is not TokenKind.EOI:
+            if not self._parse_attr(attributes) and not self._sync_body(_ATTR_STARTERS):
+                return
+        if self.at("}"):
             self.advance()
         else:
             self.error("expected '}' to close the datagroup block")
         group = DataGroup(name_tok.text, tuple(attributes.values()), span=name_tok.span)
         self.declare("datagroup", name_tok, group)
 
+    def _parse_attr(self, attributes: dict[str, Attribute]) -> bool:
+        """Read ``attr NAME : nature`` into ``attributes``; False after a syntax error."""
+        if self.expect("'attr' or '}'", "attr") is None:
+            return False
+        attr_tok = self.current
+        if attr_tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
+            self.error(f"expected attribute name, found {self._describe(attr_tok)}")
+            return False
+        self.advance()
+        nature = self.expect("':'", ":") and self.expect_nature()
+        if nature is None:
+            return False
+        if attr_tok.text in attributes:
+            self.duplicate("attribute", attr_tok.text, attr_tok.span)
+        else:
+            attributes[attr_tok.text] = Attribute(attr_tok.text, nature)
+        return True
+
     def _parse_process(self) -> None:
         self.advance()
-        name_tok = self.expect_string("process name")
-        if name_tok is None:
+        header = self._parse_process_header()
+        if header is None:
             self._sync_top_level()
             return
-        if self.expect_keyword("in") is None or self.expect_keyword("layer") is None:
-            self._sync_top_level()
-            return
-        layer_tok = self.expect_string("layer name")
-        if layer_tok is None:
-            self._sync_top_level()
-            return
-        self.record_reference("layer", layer_tok)
-
-        uses: list[str] = []
-        if self.at_keyword("uses"):
-            self.advance()
-            while True:
-                used_tok = self.expect_string("process name")
-                if used_tok is None:
-                    self._sync_top_level()
-                    return
-                uses.append(used_tok.text)
-                self.record_reference("process", used_tok)
-                if self.at_punct(","):
-                    self.advance()
-                    continue
-                break
-
-        if self.expect_punct("{") is None:
-            self._sync_top_level()
-            return
+        name_tok, layer_tok, uses = header
         movements: list[DataMovement] = []
-        while not self.at_punct("}") and self.current.kind is not TokenKind.EOI:
+        while not self.at("}") and self.current.kind is not TokenKind.EOI:
             tok = self.current
             if tok.kind is TokenKind.KEYWORD and tok.text in MOVEMENT_KEYWORDS:
                 movement = self._parse_movement()
@@ -518,9 +453,9 @@ class _Parser:
                 break
             else:
                 self.error(f"expected a movement or '}}', found {self._describe(tok)}")
-                if not self._sync_body(set(MOVEMENT_KEYWORDS)):
+                if not self._sync_body(_MOVEMENT_STARTERS):
                     return
-        if self.at_punct("}"):
+        if self.at("}"):
             self.advance()
 
         process = FunctionalProcess(
@@ -528,38 +463,52 @@ class _Parser:
         )
         self.declare("process", name_tok, process)
 
+    def _parse_process_header(self) -> tuple[Token, Token, list[str]] | None:
+        """``"name" in layer "L" (uses "P", ...)? {``; None after a syntax error."""
+        name_tok = self.expect("process name string")
+        in_layer = name_tok and self.expect("'in'", "in") and self.expect("'layer'", "layer")
+        layer_tok = in_layer and self.expect("layer name string")
+        if layer_tok is None:
+            return None
+        self.references.append(("layer", layer_tok))
+        uses: list[str] = []
+        more = self.at("uses")
+        while more:
+            self.advance()
+            used_tok = self.expect("process name string")
+            if used_tok is None:
+                return None
+            uses.append(used_tok.text)
+            self.references.append(("process", used_tok))
+            more = self.at(",")
+        if self.expect("'{'", "{") is None:
+            return None
+        return name_tok, layer_tok, uses
+
     def _parse_movement(self) -> DataMovement | None:
         kind_tok = self.advance()
-        kind = MOVEMENT_KEYWORDS[kind_tok.text]
-        group_tok = self.expect_string("data group")
-        if group_tok is None:
-            return None
-        if not self.at_keyword("from", "to"):
-            self.error(f"expected 'from' or 'to', found {self._describe(self.current)}")
-            return None
-        self.advance()
-        if not self.at_keyword(*_ENDPOINT_KINDS):
-            self.error(
-                f"expected 'user', 'storage', 'process', or 'layer', found {self._describe(self.current)}"
-            )
-            return None
-        endpoint_kind = _ENDPOINT_KINDS[self.advance().text]
-        endpoint_tok = self.expect_string("endpoint name")
-        if endpoint_tok is None:
+        group_tok = self.expect("data group string")
+        direction_tok = group_tok and self.expect("'from' or 'to'", "from", "to")
+        endpoint_tok = direction_tok and self.expect(
+            "'user', 'storage', 'process', or 'layer'", *_ENDPOINT_KINDS
+        )
+        name_tok = endpoint_tok and self.expect("endpoint name string")
+        if name_tok is None:
             return None
         conversion = Conversion.NONE
-        if self.at_keyword("via"):
+        if self.at("via"):
             self.advance()
-            if not self.at_keyword("prepare", "measure"):
-                self.error(f"expected 'prepare' or 'measure', found {self._describe(self.current)}")
+            conversion_tok = self.expect("'prepare' or 'measure'", *_CONVERSIONS)
+            if conversion_tok is None:
                 return None
-            conversion = Conversion.PREPARE if self.advance().text == "prepare" else Conversion.MEASURE
-        self.record_reference("datagroup", group_tok)
-        self.record_reference(endpoint_kind.value, endpoint_tok)
+            conversion = _CONVERSIONS[conversion_tok.text]
+        endpoint_kind = _ENDPOINT_KINDS[endpoint_tok.text]
+        self.references.append(("datagroup", group_tok))
+        self.references.append((endpoint_kind.value, name_tok))
         return DataMovement(
-            kind=kind,
+            kind=MOVEMENT_KEYWORDS[kind_tok.text],
             data_group=group_tok.text,
-            counterpart=Endpoint(endpoint_kind, endpoint_tok.text),
+            counterpart=Endpoint(endpoint_kind, name_tok.text),
             conversion=conversion,
             span=kind_tok.span,
         )
@@ -568,21 +517,19 @@ class _Parser:
 
     def _sync_top_level(self) -> None:
         """Skip to the next top-level statement boundary."""
-        while self.current.kind is not TokenKind.EOI:
+        while not self.at("}") and self.current.kind is not TokenKind.EOI:
             tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS | {"purpose", "scope"}:
-                return
-            if self.at_punct("}"):
+            if tok.kind is TokenKind.KEYWORD and tok.text in _TOP_LEVEL_STARTERS:
                 return
             self.advance()
 
-    def _sync_body(self, starters: set[str]) -> bool:
+    def _sync_body(self, starters: frozenset[str]) -> bool:
         """Skip within a block body; False when the block was abandoned."""
         while self.current.kind is not TokenKind.EOI:
             tok = self.current
             if tok.kind is TokenKind.KEYWORD and tok.text in starters:
                 return True
-            if self.at_punct("}"):
+            if self.at("}"):
                 self.advance()
                 return False
             if tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS:
@@ -596,12 +543,5 @@ def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
     for category, name_tok in parser.references:
         name = name_tok.text
         if name not in parser.declared[category]:
-            diagnostics.append(
-                Diagnostic(
-                    Severity.ERROR,
-                    "S3",
-                    f"unresolved {category} reference {name!r}",
-                    subject=name,
-                    span=name_tok.span,
-                )
-            )
+            message = f"unresolved {category} reference {name!r}"
+            diagnostics.append(error("S3", message, name, name_tok.span))

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .diagnostics import Diagnostic, Severity, sort_key
+from .diagnostics import Diagnostic, error, sort_key, warning
 from .formatter import format_movement
 from .model import (
     Conversion,
@@ -67,14 +67,6 @@ def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
     return tuple(diagnostics)
 
 
-def _error(code: str, message: str, subject: str, span=None) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, code, message, subject=subject, span=span)
-
-
-def _warning(code: str, message: str, subject: str, span=None) -> Diagnostic:
-    return Diagnostic(Severity.WARNING, code, message, subject=subject, span=span)
-
-
 def _counterpart_nature(endpoint: Endpoint, model: Model) -> Nature:
     if endpoint.kind is EndpointKind.PROCESS:
         return process_nature(model.process(endpoint.name), model)
@@ -95,7 +87,7 @@ def _rule_r1(model: Model) -> Iterator[Diagnostic]:
         return
     natures = {layer.nature for layer in model.layers}
     if Nature.CLASSICAL not in natures or Nature.QUANTUM not in natures:
-        yield _error(
+        yield error(
             "R1",
             "a quantum software system requires at least one classical and one quantum layer",
             model.name,
@@ -110,7 +102,7 @@ def _rule_movements(model: Model) -> Iterator[Diagnostic]:
             group = data_group_nature(model.data_group(movement.data_group))
             counterpart = _counterpart_nature(movement.counterpart, model)
             for code, message in _movement_findings(movement, layer, group, counterpart):
-                yield _error(
+                yield error(
                     code, f"{format_movement(movement)}: {message}", process.name, movement.span
                 )
 
@@ -198,7 +190,7 @@ def _rule_r8(model: Model) -> Iterator[Diagnostic]:
         other = "receive" if style == "send" else "send"
         if other in declared and style not in declared:
             owner, _ = declared[other]
-            yield _error(
+            yield error(
                 "R8",
                 f"{format_movement(movement)}: this flow is already declared in process "
                 f"{owner.name!r}; declare each inter-process movement exactly once",
@@ -211,7 +203,7 @@ def _rule_r8(model: Model) -> Iterator[Diagnostic]:
 def _rule_r9(model: Model) -> Iterator[Diagnostic]:
     for cycle in _cycles(model):
         chain = " -> ".join(cycle + (cycle[0],))
-        yield _error(
+        yield error(
             "R9",
             f"cyclic uses chain: {chain}",
             cycle[0],
@@ -285,7 +277,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
 def _rule_p1(model: Model) -> Iterator[Diagnostic]:
     for process in model.processes:
         if not process.movements:
-            yield _warning(
+            yield warning(
                 "P1",
                 "process declares no data movements and is not measurable",
                 process.name,
@@ -304,15 +296,15 @@ def _rule_p2(model: Model) -> Iterator[Diagnostic]:
     }
     for group in model.data_groups:
         if group.name not in used_groups:
-            yield _warning("P2", "data group is never moved", group.name, group.span)
+            yield warning("P2", "data group is never moved", group.name, group.span)
     for storage in model.storages:
         if storage.name not in used_storages:
-            yield _warning("P2", "storage is never read or written", storage.name, storage.span)
+            yield warning("P2", "storage is never read or written", storage.name, storage.span)
 
 
 def _rule_p3(model: Model) -> Iterator[Diagnostic]:
     if system_nature(model) is Nature.CLASSICAL:
-        yield _warning(
+        yield warning(
             "P3",
             "model is purely classical; QCFP size is CFPv5-equivalent",
             model.name,

@@ -24,7 +24,10 @@ from qcosmic import (
     MovementKind,
     Nature,
     PersistentStorage,
+    format_model,
+    tokenize,
 )
+from conftest import FIXTURES
 
 _WORDS = (
     "ledger", "account", "signal", "pipeline", "archive", "beacon",
@@ -250,3 +253,63 @@ def hostile_texts(seed: int = 17, count: int = 400) -> list[str]:
     rng = random.Random(seed)
     pool = list('system layer { } : , " \\ // entry via né')
     return ["".join(rng.choice(pool) for _ in range(rng.randrange(0, 40))) for _ in range(count)]
+
+
+# keywords, punctuation, an identifier, and strings, two of which read as a keyword
+# or a brace but must never be taken for one
+_INSERTS = (
+    "system", "purpose", "scope", "layer", "user", "storage", "datagroup", "attr",
+    "process", "classical", "quantum", "in", "uses", "from", "to", "via", "prepare",
+    "measure", "entry", "qexit", "read", "qwrite", "{", "}", ":", ",", "name",
+    '"x"', '"attr"', '"}"',
+)
+
+# shapes that random edits rarely reach: a datagroup left open, repeated
+# headers, a repeated attribute or declaration, a list of used processes and a
+# conversion written as a string
+RECOVERY_SEEDS = (
+    'system "S" { layer classical "L" datagroup "G" { attr a : classical\n'
+    'process "P" in layer "L" { entry "G" from layer "L" } }',
+    'system "S" { purpose "a" purpose "b" scope "c" scope "d" layer classical "L" }',
+    'system "S" { datagroup "G" { attr a : classical attr a : quantum } }',
+    'system "S" { datagroup "G" { attr a : classical',
+    'system "S" { layer classical "L" layer quantum "L" user classical "U" user classical "U"\n'
+    'storage classical "D" storage quantum "D" datagroup "G" { } datagroup "G" { }\n'
+    'process "P" in layer "L" { } process "P" in layer "L" { } }',
+    'system "S" { layer classical "L" process "A" in layer "L" { }\n'
+    'process "B" in layer "L" { } process "C" in layer "L" uses "A", "B" { } }',
+    'system "S" { layer quantum "Q" datagroup "G" { }\n'
+    'process "P" in layer "Q" { qentry "G" from layer "Q" via "prepare" } }',
+)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """Delete a token, insert one from ``_INSERTS``, or swap two tokens."""
+    tokens = tokenize(text)[0][:-1]
+    edit = ("delete", "insert", "swap")[rng.randrange(3)] if len(tokens) >= 2 else "insert"
+    if edit == "insert":
+        at = rng.choice(tokens).offset if tokens and rng.random() < 0.95 else len(text)
+        return f"{text[:at]}{rng.choice(_INSERTS)} {text[at:]}"
+    first, second = sorted(rng.sample(tokens, 2), key=lambda token: token.offset)
+    a, b = first.offset, second.offset
+    a_end, b_end = a + first.length, b + second.length
+    if edit == "delete":
+        return text[:a] + text[a_end:]
+    return text[:a] + text[b:b_end] + text[a_end:b] + text[a:a_end] + text[b_end:]
+
+
+def mutated_texts(seed: int, count: int) -> list[str]:
+    """``count`` texts, each a fixture, recovery seed or random model after 1-3 token edits."""
+    rng = random.Random(seed)
+    sources = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.qcm"))]
+    sources += RECOVERY_SEEDS
+    sources += [
+        format_model(random_model(rng, max_processes=2, max_movements=3)) for _ in range(30)
+    ]
+    texts = []
+    for _ in range(count):
+        text = rng.choice(sources)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        texts.append(text)
+    return texts

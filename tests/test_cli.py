@@ -3,12 +3,24 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from qcosmic import cli, parse_model
 from qcosmic.cli import main
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
+
+SRC = FIXTURES.parent / "src"
+REPORT_COMMANDS = (
+    ("measure",),
+    ("measure", "--format", "json"),
+    ("measure", "--format", "csv"),
+    ("diagram",),
+    ("fmt",),
+)
 
 
 def run(capsys, *argv):
@@ -160,6 +172,22 @@ class TestOutputs:
         )
         assert json.loads(endpoint_out)["total_qcfp"] == 2
         assert json.loads(cosmic_out)["total_qcfp"] == 1
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS, ids=" ".join)
+    def test_stdout_report_is_utf8_whatever_the_locale(self, tmp_path, command):
+        # a name that an ASCII stdout cannot encode, in every report
+        source = tmp_path / "cafe.qcm"
+        text = load_fixture("factoring.qcm").replace("Break RSA", "Break RSA café")
+        source.write_text(text, encoding="utf-8")
+        target = tmp_path / "report"
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": path}
+        argv = [sys.executable, "-m", "qcosmic.cli", command[0], str(source), *command[1:]]
+        to_stdout = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        to_file = subprocess.run([*argv, "-o", str(target)], env=env, timeout=60)
+        assert (to_stdout.returncode, to_file.returncode) == (0, 0), to_stdout.stderr
+        assert "café".encode() in to_stdout.stdout
+        assert to_stdout.stdout == target.read_bytes()
 
     def test_consecutive_runs_are_byte_identical(self, capsys):
         _, first, err1 = run(capsys, "measure", fixture("factoring.qcm"), "--format", "json")

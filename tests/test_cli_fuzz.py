@@ -1,4 +1,4 @@
-"""Whole-CLI fuzzing: hostile texts and random models through every command.
+"""Whole-CLI fuzzing: hostile texts, random models and token-level mutants through every command.
 
 Every run must end in a defined exit code with no traceback and no internal
 error. Where a run succeeds, the JSON totals must add up and `fmt` output
@@ -16,7 +16,7 @@ import pytest
 
 from qcosmic import format_model, parse_model
 from qcosmic.cli import main
-from gen import hostile_texts, random_model
+from gen import hostile_texts, mutated_texts, random_model
 
 COMMANDS = (
     ("check",),
@@ -37,7 +37,8 @@ def _texts() -> list[str]:
     truncated = [text[: rng.randrange(len(text))] for text in rendered[:25]]
     # every declared nature quantum: rule errors instead of a clean model
     flipped = [text.replace(" classical", " quantum") for text in rendered[25:]]
-    return hostile_texts() + rendered + truncated + flipped
+    # token-level edits reach the parser's recovery paths past the system header
+    return hostile_texts() + rendered + truncated + flipped + mutated_texts(seed=43, count=150)
 
 
 TEXTS = _texts()
