@@ -47,6 +47,54 @@ def cosmic_count(model: Model) -> dict:
     }
 
 
+QUANTUM_KINDS = {"QE", "QX", "QR", "QW"}
+
+
+def brute_force_layer_totals(model: Model, dedup) -> dict:
+    """Per-layer QCFP by the README's "Counting rules", by list scans.
+
+    A quantum movement is charged to the owning process's layer. A
+    classical movement is charged to the owning layer too, unless that
+    layer is quantum and the counterpart names a classical layer on the
+    far side: a layer endpoint, or a process declared in one. ``dedup`` is
+    a ``DedupMode``; "cosmic" keys on (kind, group), anything else also on
+    the counterpart. Returns the totals by layer name and the number of
+    unique movements charged to a far-side layer.
+    """
+
+    def first(declared, name):
+        for item in declared:
+            if item.name == name:
+                return item
+        raise AssertionError(f"undeclared name {name!r}")
+
+    per_layer = {layer.name: 0 for layer in model.layers}
+    far_side = 0
+    for process in model.processes:
+        owner = first(model.layers, process.layer)
+        seen: list[tuple] = []
+        for movement in process.movements:
+            key = (movement.kind.value, movement.data_group)
+            if dedup.value != "cosmic":
+                key += (movement.counterpart.kind.value, movement.counterpart.name)
+            if key in seen:
+                continue
+            seen.append(key)
+            charged = owner
+            if movement.kind.value not in QUANTUM_KINDS and owner.nature is Nature.QUANTUM:
+                cp = movement.counterpart
+                far = None
+                if cp.kind.value == "layer":
+                    far = first(model.layers, cp.name)
+                elif cp.kind.value == "process":
+                    far = first(model.layers, first(model.processes, cp.name).layer)
+                if far is not None and far.nature is Nature.CLASSICAL:
+                    charged = far
+                    far_side += 1
+            per_layer[charged.name] += 1
+    return {"per_layer": per_layer, "far_side": far_side}
+
+
 def brute_force_process_nature(process, model: Model) -> Nature:
     """OR together the natures of everything the process touches."""
     natures = [model.layer(process.layer).nature]

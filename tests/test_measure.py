@@ -20,11 +20,13 @@ from qcosmic import (
     measure_system,
     parse_model,
     unique_movements,
+    validate,
 )
+from qcosmic.diagnostics import has_errors
 from qcosmic.measure import percent
-from conftest import load_fixture
+from conftest import FIXTURES, load_fixture
 from gen import inject_duplicate, random_model
-from oracles import cosmic_count
+from oracles import brute_force_layer_totals, cosmic_count
 
 
 def movement(kind, group="g", ep_kind=EndpointKind.USER, ep_name="u"):
@@ -130,6 +132,38 @@ class TestMeasureLayer:
             assert [measure_layer(layer, model, dedup) for layer in model.layers] == [
                 l.qcfp for l in report.per_layer
             ]
+
+
+def validating_fixture_models() -> list:
+    models = [parse_model(path.read_text(encoding="utf-8")).model
+              for path in sorted(FIXTURES.glob("*.qcm"))]
+    return [m for m in models if m is not None and not has_errors(validate(m))]
+
+
+class TestLayerOracle:
+    """Per-layer totals against a brute-force re-derivation of the charge rule."""
+
+    @pytest.mark.parametrize("dedup", list(DedupMode))
+    def test_agrees_over_generated_models(self, dedup):
+        rng = random.Random(43)
+        far_side = 0
+        for _ in range(200):
+            model = random_model(rng)
+            oracle = brute_force_layer_totals(model, dedup)
+            report = measure_system(model, dedup)
+            assert {l.name: l.qcfp for l in report.per_layer} == oracle["per_layer"]
+            far_side += oracle["far_side"]
+        # the corpus exercises the far-side branch of the charge rule
+        assert far_side == {DedupMode.ENDPOINT: 313, DedupMode.COSMIC: 225}[dedup]
+
+    @pytest.mark.parametrize("dedup", list(DedupMode))
+    def test_agrees_over_fixtures(self, dedup):
+        models = validating_fixture_models()
+        assert len(models) >= 10
+        for model in models:
+            report = measure_system(model, dedup)
+            oracle = brute_force_layer_totals(model, dedup)
+            assert {l.name: l.qcfp for l in report.per_layer} == oracle["per_layer"]
 
 
 class TestMeasureSystem:
