@@ -1,7 +1,9 @@
 """Byte-identical CLI output on every fixture, against a committed capture.
 
 `golden/cli_fixtures.json` holds the exit code, stdout and stderr of
-`cli.main` for each fixture under each command below. The fixture
+`cli.main` for each fixture under each command below, and for
+``diagram --scope`` of every process that a validating fixture declares.
+The fixture
 directory is written as ``<fixtures>`` in stderr, so the capture does not
 depend on where the repository lives. To refresh it after an intended
 output change, run ``PYTHONPATH=src python tests/test_golden_cli.py``
@@ -17,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
+from qcosmic import parse_model, validate
 from qcosmic.cli import main
+from qcosmic.diagnostics import has_errors
 from conftest import FIXTURES
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "cli_fixtures.json"
@@ -44,12 +48,20 @@ def run_cli(command: tuple[str, ...], name: str) -> dict:
     }
 
 
+def scoped_commands(path: Path) -> list[tuple[str, ...]]:
+    """``diagram --scope`` for each declared process, when the fixture validates."""
+    model = parse_model(path.read_text(encoding="utf-8")).model
+    if model is None or has_errors(validate(model)):
+        return []
+    return [("diagram", "--scope", process.name) for process in model.processes]
+
+
 def cases() -> list[tuple[str, tuple[str, ...], str]]:
     """(key, command, fixture name) for every fixture under every command."""
     return [
         (f"{' '.join(command)} {path.name}", command, path.name)
         for path in sorted(FIXTURES.glob("*.qcm"))
-        for command in COMMANDS
+        for command in COMMANDS + tuple(scoped_commands(path))
     ]
 
 
