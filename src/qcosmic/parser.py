@@ -441,18 +441,22 @@ class _Parser:
             return
         name_tok, layer_tok, uses = header
         movements: list[DataMovement] = []
+        failed_at = -1  # where the last failed movement stopped; it reported there
         while not self.at("}") and self.current.kind is not TokenKind.EOI:
             tok = self.current
             if tok.kind is TokenKind.KEYWORD and tok.text in MOVEMENT_KEYWORDS:
                 movement = self._parse_movement()
-                if movement is not None:
+                if movement is None:
+                    failed_at = self.pos
+                else:
                     movements.append(movement)
             elif tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS:
                 # a declaration keyword here means the closing brace is missing
                 self.error("expected '}' to close the process block before this declaration")
                 break
             else:
-                self.error(f"expected a movement or '}}', found {self._describe(tok)}")
+                if self.pos != failed_at:
+                    self.error(f"expected a movement or '}}', found {self._describe(tok)}")
                 if not self._sync_body(_MOVEMENT_STARTERS):
                     return
         if self.at("}"):

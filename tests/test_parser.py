@@ -317,6 +317,32 @@ class TestParseModel:
         assert "S1" in codes
         assert result.model is None  # the bad movement is an error
 
+    def test_failed_movement_reports_once_at_its_token(self):
+        text = (
+            'system "S" {\n'
+            '  layer classical "A"\n'
+            '  user classical "U"\n'
+            '  datagroup "g" {}\n'
+            '  process "P" in layer "A" {\n'
+            '    entry "g" from user : "U"\n'
+            '    exit "g" to user "U"\n'
+            '    oops exit "g" to user "U"\n'
+            "  }\n"
+            "}\n"
+        )
+        result = parse_model(text)
+        assert [(d.message, d.span.line, d.span.column) for d in result.diagnostics] == [
+            ("expected endpoint name string, found ':'", 6, 25),
+            ("expected a movement or '}', found 'oops'", 8, 5),
+        ]
+
+    def test_unclosed_blocks_each_report_at_end_of_input(self):
+        result = parse_model('system "S" { datagroup "g" {')
+        assert [d.message for d in result.diagnostics] == [
+            "expected '}' to close the datagroup block",
+            "expected '}' to close the system block",
+        ]
+
     def test_recovery_never_leaves_dangling_references(self):
         # even with syntax errors, any returned model must resolve; broken
         # inputs therefore return no model at all
