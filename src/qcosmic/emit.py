@@ -27,6 +27,7 @@ from .model import (
     KIND_ORDER,
     Model,
     Nature,
+    _resolution,
     movement_is_quantum,
     process_nature,
 )
@@ -190,60 +191,43 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
     if model.is_empty():
         return f"digraph {quote(model.name)} {{\n}}\n"
 
-    drawn_processes = [scoped] if scoped else list(model.processes)
-    movements = [
-        (process, movement)
-        for process in drawn_processes
-        for movement in unique_movements(process)
-    ]
-
     if scoped is not None:
-        users, storages, layers, processes = _participants(scoped, movements, model)
+        users, storages, layers = _participants(scoped, model)
     else:
-        users = [u.name for u in model.users]
-        storages = [s.name for s in model.storages]
-        layers = [l.name for l in model.layers]
-        processes = [p.name for p in model.processes]
-
-    by_layer: dict[str, list[str]] = {name: [] for name in layers}
-    for name in processes:
-        process = model.process(name)
-        if process.layer in by_layer:
-            by_layer[process.layer].append(name)
+        users = [(user.name, user.nature) for user in model.users]
+        storages = [(storage.name, storage.nature) for storage in model.storages]
+        layers = {layer: [] for layer in model.layers}
+        for process in model.processes:
+            layer = _resolution(process, model)[0]
+            layers[layer].append((process.name, process_nature(process, model)))
 
     lines = [f"digraph {quote(model.name)} {{"]
     lines.append("  rankdir=LR;")
     lines.append("  compound=true;")
 
-    for name in users:
-        user = model.user(name)
-        lines.append(_node(quote(f"user {name}"), name, user.nature, "ellipse"))
-    for name in storages:
-        storage = model.storage(name)
-        lines.append(_node(quote(f"storage {name}"), name, storage.nature, "cylinder"))
+    for name, nature in users:
+        lines.append(_node(quote(f"user {name}"), name, nature, "ellipse"))
+    for name, nature in storages:
+        lines.append(_node(quote(f"storage {name}"), name, nature, "cylinder"))
 
     if layers:
         lines.append(f"  subgraph {quote('cluster software')} {{")
         lines.append(f"    label={quote(model.name)};")
         lines.append("    style=dashed;")
-        for layer_name in layers:
-            layer = model.layer(layer_name)
+        for layer, members in layers.items():
             peripheries = 2 if layer.nature is Nature.QUANTUM else 1
-            lines.append(f"    subgraph {quote(f'cluster layer {layer_name}')} {{")
-            lines.append(f"      label={_label(layer_name, layer.nature)};")
+            lines.append(f"    subgraph {quote(f'cluster layer {layer.name}')} {{")
+            lines.append(f"      label={_label(layer.name, layer.nature)};")
             lines.append(f"      peripheries={peripheries};")
-            lines.append(f"      {quote(f'layer {layer_name}')} [shape=point, style=invis];")
-            for process_name in by_layer[layer_name]:
-                process = model.process(process_name)
-                nature = process_nature(process, model)
-                lines.append(
-                    _node(quote(f"process {process_name}"), process_name, nature, "box", indent=" " * 6)
-                )
+            lines.append(f"      {quote(f'layer {layer.name}')} [shape=point, style=invis];")
+            for name, nature in members:
+                lines.append(_node(quote(f"process {name}"), name, nature, "box", indent=" " * 6))
             lines.append("    }")
         lines.append("  }")
 
-    for process, movement in movements:
-        lines.append(_edge(process, movement))
+    for process in [scoped] if scoped else model.processes:
+        for movement in unique_movements(process):
+            lines.append(_edge(process, movement))
 
     if scoped is None:
         for process in model.processes:
@@ -257,26 +241,24 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _participants(scoped, movements, model):
-    users: list[str] = []
-    storages: list[str] = []
-    layers: list[str] = [scoped.layer]
-    processes: list[str] = [scoped.name]
-    for _, movement in movements:
+def _participants(scoped: FunctionalProcess, model: Model):
+    """What a scoped diagram draws, in order of first use: users and storages
+    as (name, nature), and each layer with the (name, nature) of its processes."""
+    layer, _, counterparts = _resolution(scoped, model)
+    users: dict[str, Nature] = {}
+    storages: dict[str, Nature] = {}
+    layers = {layer: [(scoped.name, process_nature(scoped, model))]}
+    for movement, (nature, far) in zip(scoped.movements, counterparts):
         cp = movement.counterpart
-        if cp.kind is EndpointKind.USER and cp.name not in users:
-            users.append(cp.name)
-        elif cp.kind is EndpointKind.STORAGE and cp.name not in storages:
-            storages.append(cp.name)
-        elif cp.kind is EndpointKind.LAYER and cp.name not in layers:
-            layers.append(cp.name)
-        elif cp.kind is EndpointKind.PROCESS:
-            if cp.name not in processes:
-                processes.append(cp.name)
-            cp_layer = model.process(cp.name).layer
-            if cp_layer not in layers:
-                layers.append(cp_layer)
-    return users, storages, layers, processes
+        if cp.kind is EndpointKind.USER:
+            users.setdefault(cp.name, nature)
+        elif cp.kind is EndpointKind.STORAGE:
+            storages.setdefault(cp.name, nature)
+        else:
+            members = layers.setdefault(far, [])
+            if cp.kind is EndpointKind.PROCESS and (cp.name, nature) not in members:
+                members.append((cp.name, nature))
+    return users.items(), storages.items(), layers
 
 
 def _edge(process: FunctionalProcess, movement) -> str:

@@ -28,13 +28,13 @@ from decimal import ROUND_HALF_UP, Decimal
 from .diagnostics import Diagnostic, has_errors
 from .model import (
     DataMovement,
-    EndpointKind,
     FunctionalProcess,
     KIND_ORDER,
     Layer,
     Model,
     MovementKind,
     Nature,
+    _resolution,
     movement_is_quantum,
     process_nature,
     system_nature,
@@ -51,7 +51,6 @@ __all__ = [
     "measure_layer",
     "measure_process",
     "measure_system",
-    "movement_layer",
     "unique_movements",
 ]
 
@@ -72,48 +71,27 @@ class DedupMode(enum.Enum):
     COSMIC = "cosmic"
 
 
-def _dedup_key(movement: DataMovement, dedup: DedupMode):
-    if dedup is DedupMode.COSMIC:
-        return movement.kind, movement.data_group
-    return movement.kind, movement.data_group, movement.counterpart
+def _first_occurrences(process: FunctionalProcess, dedup: DedupMode) -> list[int]:
+    """Positions of the countable movements of a process: the first of each dedup key."""
+    first: dict[tuple, int] = {}
+    for position, movement in enumerate(process.movements):
+        key = (movement.kind, movement.data_group)
+        if dedup is DedupMode.ENDPOINT:
+            key += (movement.counterpart,)
+        first.setdefault(key, position)
+    return list(first.values())
 
 
 def unique_movements(
     process: FunctionalProcess, dedup: DedupMode = DedupMode.ENDPOINT
 ) -> list[DataMovement]:
     """The countable movements of a process, first occurrence order."""
-    seen = set()
-    unique: list[DataMovement] = []
-    for movement in process.movements:
-        key = _dedup_key(movement, dedup)
-        if key not in seen:
-            seen.add(key)
-            unique.append(movement)
-    return unique
+    return [process.movements[i] for i in _first_occurrences(process, dedup)]
 
 
 def measure_process(process: FunctionalProcess, dedup: DedupMode = DedupMode.ENDPOINT) -> int:
     """QCFP of one process: every unique movement contributes exactly 1."""
     return len(unique_movements(process, dedup))
-
-
-def movement_layer(movement: DataMovement, owner: FunctionalProcess, model: Model) -> str:
-    """Name of the layer a movement counts toward in per-layer totals."""
-    owner_layer = model.layer(owner.layer)
-    if movement_is_quantum(movement.kind):
-        return owner_layer.name
-    if owner_layer.nature is Nature.CLASSICAL:
-        return owner_layer.name
-    counterpart = movement.counterpart
-    if counterpart.kind is EndpointKind.LAYER:
-        far_layer = model.layer(counterpart.name)
-    elif counterpart.kind is EndpointKind.PROCESS:
-        far_layer = model.layer(model.process(counterpart.name).layer)
-    else:
-        return owner_layer.name
-    if far_layer.nature is Nature.CLASSICAL:
-        return far_layer.name
-    return owner_layer.name
 
 
 def measure_layer(layer: Layer, model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> int:
@@ -128,13 +106,19 @@ def _count(model: Model, dedup: DedupMode):
     layer_totals: dict[str, int] = {layer.name: 0 for layer in model.layers}
     quantum_qcfp = 0
     for process in model.processes:
-        unique = unique_movements(process, dedup)
+        layer, _, counterparts = _resolution(process, model)
+        unique = _first_occurrences(process, dedup)
         tally = {kind: 0 for kind in KIND_ORDER}
-        for movement in unique:
-            tally[movement.kind] += 1
-            layer_totals[movement_layer(movement, process, model)] += 1
-            if movement_is_quantum(movement.kind):
+        for position in unique:
+            kind = process.movements[position].kind
+            far = counterparts[position][1]
+            tally[kind] += 1
+            charged = layer  # the per-layer rule of the module docstring
+            if movement_is_quantum(kind):
                 quantum_qcfp += 1
+            elif layer.nature is Nature.QUANTUM and far is not None and far.nature is Nature.CLASSICAL:
+                charged = far
+            layer_totals[charged.name] += 1
         per_process.append((process, len(unique), tally))
     return per_process, layer_totals, quantum_qcfp
 

@@ -17,10 +17,11 @@ explicitly; data groups and processes derive it:
 Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
 index that the model builds once, at construction; when a hand-built model
 declares a name twice, the first declaration wins. Derived facts (the
-system's nature, each declared process's nature, the rule catalog's
-findings) are computed on first use and kept in a private per-model memo,
-which takes no part in equality or hashing; ``dataclasses.replace`` gives
-the new model an empty one.
+system's nature, the rule catalog's findings, each data group's nature, and
+each declared process's nature, layer and movement resolution) are computed
+on first use and kept in a private per-model memo, which takes no part in
+equality or hashing; ``dataclasses.replace`` gives the new model an empty
+one. The rules, the counter and the diagram all read that one resolution.
 
 Everything here is immutable and hashable; all operations are pure.
 """
@@ -256,20 +257,56 @@ def process_nature(process: FunctionalProcess, model: Model) -> Nature:
     The result is kept in the model's memo when ``process`` is the model's
     own declaration of that name.
     """
+    return _declared(process, model, "process", _nature_and_layer)[0]
+
+
+def _resolution(process: FunctionalProcess, model: Model) -> tuple[Layer, tuple, tuple]:
+    """A process's layer and, per movement, the moved group's nature and the
+    counterpart's (nature, layer), where the layer is the named layer for a
+    layer endpoint, the counterpart process's layer for a process endpoint,
+    None otherwise. Raises UnresolvedReferenceError as process_nature does."""
+    layer = _declared(process, model, "process", _nature_and_layer)[1]
+    return layer, *_declared(process, model, "movements", _movement_facts)
+
+
+def _declared(process: FunctionalProcess, model: Model, key: str, derive):
+    """``derive(process, model)``, memoized for the model's own declaration."""
     if model._index["process"].get(process.name) is process:
-        return model._memo(("process", process.name), lambda: _process_nature(process, model))
-    return _process_nature(process, model)
+        return model._memo((key, process.name), lambda: derive(process, model))
+    return derive(process, model)
 
 
-def _process_nature(process: FunctionalProcess, model: Model) -> Nature:
-    if model.layer(process.layer).nature is Nature.QUANTUM:
-        return Nature.QUANTUM
+def _nature_and_layer(process: FunctionalProcess, model: Model) -> tuple[Nature, Layer]:
+    layer = model.layer(process.layer)
+    if layer.nature is Nature.QUANTUM:
+        return Nature.QUANTUM, layer
     for movement in process.movements:
         if movement.conversion is not Conversion.NONE:
-            return Nature.QUANTUM
-        if data_group_nature(model.data_group(movement.data_group)) is Nature.QUANTUM:
-            return Nature.QUANTUM
-    return Nature.CLASSICAL
+            return Nature.QUANTUM, layer
+        if _group_nature(movement.data_group, model) is Nature.QUANTUM:
+            return Nature.QUANTUM, layer
+    return Nature.CLASSICAL, layer
+
+
+def _group_nature(name: str, model: Model) -> Nature:
+    return model._memo(("datagroup", name), lambda: data_group_nature(model.data_group(name)))
+
+
+def _movement_facts(process: FunctionalProcess, model: Model) -> tuple[tuple, tuple]:
+    groups, counterparts = [], []  # one shared (nature, layer) per counterpart
+    for movement in process.movements:
+        groups.append(_group_nature(movement.data_group, model))
+        endpoint = movement.counterpart
+        key = (endpoint.kind, endpoint.name)
+        counterparts.append(model._memo(key, lambda: _counterpart(endpoint, model)))
+    return tuple(groups), tuple(counterparts)
+
+
+def _counterpart(endpoint: Endpoint, model: Model) -> tuple[Nature, Layer | None]:
+    declared = getattr(model, endpoint.kind.value)(endpoint.name)  # model.user, .layer, ...
+    if endpoint.kind is EndpointKind.PROCESS:
+        return _declared(declared, model, "process", _nature_and_layer)
+    return declared.nature, declared if endpoint.kind is EndpointKind.LAYER else None
 
 
 def system_nature(model: Model) -> Nature:

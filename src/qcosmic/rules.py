@@ -32,7 +32,6 @@ from .formatter import format_movement
 from .model import (
     Conversion,
     DataMovement,
-    Endpoint,
     EndpointKind,
     FunctionalProcess,
     Layer,
@@ -40,9 +39,9 @@ from .model import (
     MovementKind,
     Nature,
     STORAGE_KINDS,
-    data_group_nature,
+    _resolution,
     movement_is_quantum,
-    process_nature,
+    process_nature,  # noqa: F401  bench/tracing.py patches this name
     system_nature,
 )
 
@@ -65,12 +64,6 @@ def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
         diagnostics.extend(rule(model))
     diagnostics.sort(key=sort_key)
     return tuple(diagnostics)
-
-
-def _counterpart_nature(endpoint: Endpoint, model: Model) -> Nature:
-    if endpoint.kind is EndpointKind.PROCESS:
-        return process_nature(model.process(endpoint.name), model)
-    return model._lookup(endpoint.kind.value, endpoint.name).nature
 
 
 def _movements(model: Model) -> Iterator[tuple[FunctionalProcess, DataMovement]]:
@@ -97,10 +90,8 @@ def _rule_r1(model: Model) -> Iterator[Diagnostic]:
 def _rule_movements(model: Model) -> Iterator[Diagnostic]:
     """R2-R7 in one sweep: each movement's findings, in code order."""
     for process in model.processes:
-        layer = model.layer(process.layer)
-        for movement in process.movements:
-            group = data_group_nature(model.data_group(movement.data_group))
-            counterpart = _counterpart_nature(movement.counterpart, model)
+        layer, groups, counterparts = _resolution(process, model)
+        for movement, group, (counterpart, _) in zip(process.movements, groups, counterparts):
             for code, message in _movement_findings(movement, layer, group, counterpart):
                 yield error(
                     code, f"{format_movement(movement)}: {message}", process.name, movement.span

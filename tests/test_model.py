@@ -23,10 +23,13 @@ from qcosmic import (
     MovementKind,
     Nature,
     PersistentStorage,
+    RenderOptions,
     UnresolvedReferenceError,
     data_group_nature,
+    measure_system,
     movement_is_quantum,
     process_nature,
+    render_dot,
     system_nature,
     validate,
 )
@@ -190,6 +193,97 @@ class TestDerivedFacts:
         assert fresh == used
         assert hash(fresh) == hash(used)
         assert "_derived" not in repr(used)
+
+
+#: A counterpart or group that no declaration of small_model() names.
+DANGLING = {
+    "datagroup": {"data_group": "nope"},
+    "user": {"counterpart": Endpoint(EndpointKind.USER, "nope")},
+    "storage": {"counterpart": Endpoint(EndpointKind.STORAGE, "nope")},
+    "process": {"counterpart": Endpoint(EndpointKind.PROCESS, "nope")},
+    "layer": {"counterpart": Endpoint(EndpointKind.LAYER, "nope")},
+}
+
+
+def dangling_model(category: str) -> Model:
+    """small_model() with an extra process "q" whose one movement names nothing."""
+    model = small_model()
+    movement = dataclasses.replace(model.processes[0].movements[0], **DANGLING[category])
+    return dataclasses.replace(
+        model, processes=model.processes + (FunctionalProcess("q", "l", (movement,)),)
+    )
+
+
+class TestUnresolvedReferences:
+    """Hand-built models may name what they never declare; parsed ones cannot."""
+
+    @pytest.mark.parametrize("category", ["layer", "datagroup"])
+    def test_process_nature_of_another_process_stays_lazy(self, category):
+        if category == "layer":
+            model = small_model()
+            model = dataclasses.replace(
+                model, processes=model.processes + (FunctionalProcess("q", "nope", ()),)
+            )
+        else:
+            model = dangling_model(category)
+        assert process_nature(model.processes[0], model) is C
+        with pytest.raises(UnresolvedReferenceError):
+            process_nature(model.processes[1], model)
+
+    @pytest.mark.parametrize("category", sorted(DANGLING))
+    def test_validate_raises(self, category):
+        with pytest.raises(UnresolvedReferenceError) as exc:
+            validate(dangling_model(category))
+        assert (exc.value.category, exc.value.name) == (category, "nope")
+
+    @pytest.mark.parametrize("category", sorted(DANGLING))
+    @pytest.mark.parametrize("scope", [None, "q"])
+    def test_render_dot_raises(self, category, scope):
+        with pytest.raises(UnresolvedReferenceError) as exc:
+            render_dot(dangling_model(category), RenderOptions(scope=scope))
+        assert (exc.value.category, exc.value.name) == (category, "nope")
+
+    def test_scoped_diagram_resolves_only_its_process(self):
+        model = dangling_model("user")
+        assert '"process p"' in render_dot(model, RenderOptions(scope="p"))
+
+
+LOOKUPS = ("layer", "user", "storage", "data_group", "process")
+
+
+class TestResolveOnce:
+    """validate, measure_system and render_dot resolve each name once per model."""
+
+    @staticmethod
+    def lookups(monkeypatch, model: Model) -> tuple[int, int]:
+        """Lookup calls made by validate + measure_system, then by render_dot."""
+        calls: list[str] = []
+        for name in LOOKUPS:
+            method = getattr(Model, name)
+            monkeypatch.setattr(
+                Model, name, lambda self, key, _m=method: calls.append(key) or _m(self, key)
+            )
+        validate(model)
+        measure_system(model)
+        before_dot = len(calls)
+        render_dot(model)
+        monkeypatch.undo()
+        return before_dot, len(calls) - before_dot
+
+    def test_lookups_are_bounded_by_declarations(self, monkeypatch):
+        rng = random.Random(5)
+        for _ in range(20):
+            model = random_model(rng, max_processes=20, max_movements=12)
+            declarations = sum(map(len, (
+                model.layers, model.users, model.storages, model.data_groups, model.processes,
+            )))
+            pipeline, dot = self.lookups(monkeypatch, model)
+            assert pipeline <= len(model.processes) + declarations
+            assert dot == 0
+            doubled = dataclasses.replace(model, processes=tuple(
+                dataclasses.replace(p, movements=p.movements * 2) for p in model.processes
+            ))
+            assert self.lookups(monkeypatch, doubled) == (pipeline, 0)
 
 
 class TestMovementIsQuantum:
