@@ -248,6 +248,27 @@ def inject_duplicate(model: Model, process_index: int, movement_index: int) -> M
     return dataclasses.replace(model, processes=processes)
 
 
+#: What dangling_model can leave undeclared: a data group, or a counterpart of each kind.
+DANGLING = ("datagroup", *(kind.value for kind in EndpointKind))
+
+
+def dangling_model(category: str) -> Model:
+    """A measurable process "p" beside a process "q" whose one movement names
+    an undeclared data group or counterpart (one of DANGLING) called "nope"."""
+    movement = DataMovement(MovementKind.E, "g", Endpoint(EndpointKind.USER, "u"))
+    if category == "datagroup":
+        broken = dataclasses.replace(movement, data_group="nope")
+    else:
+        broken = dataclasses.replace(movement, counterpart=Endpoint(EndpointKind(category), "nope"))
+    return Model(
+        name="m",
+        layers=(Layer("l", Nature.CLASSICAL),),
+        users=(FunctionalUser("u", Nature.CLASSICAL),),
+        data_groups=(DataGroup("g"),),
+        processes=(FunctionalProcess("p", "l", (movement,)), FunctionalProcess("q", "l", (broken,))),
+    )
+
+
 def hostile_texts(seed: int = 17, count: int = 400) -> list[str]:
     """Short random strings of keywords and lexer-hostile characters."""
     rng = random.Random(seed)

@@ -8,17 +8,12 @@ import random
 import pytest
 
 from qcosmic import (
-    DataGroup,
     DataMovement,
     DedupMode,
     Endpoint,
     EndpointKind,
     FunctionalProcess,
-    FunctionalUser,
-    Layer,
-    Model,
     MovementKind,
-    Nature,
     UnresolvedReferenceError,
     UnvalidatedModelError,
     measure_layer,
@@ -31,7 +26,7 @@ from qcosmic import (
 from qcosmic.diagnostics import has_errors
 from qcosmic.measure import percent
 from conftest import FIXTURES, load_fixture
-from gen import inject_duplicate, random_model
+from gen import DANGLING, dangling_model, inject_duplicate, random_model
 from oracles import brute_force_layer_totals, cosmic_count
 
 
@@ -172,39 +167,17 @@ class TestLayerOracle:
             assert {l.name: l.qcfp for l in report.per_layer} == oracle["per_layer"]
 
 
-def dangling_model(**changes) -> Model:
-    """A measurable process "p" beside a process "q" whose one movement,
-    changed by ``changes``, names a group or counterpart nobody declares."""
-    ok = movement(MovementKind.E)
-    return Model(
-        name="m",
-        layers=(Layer("l", Nature.CLASSICAL),),
-        users=(FunctionalUser("u", Nature.CLASSICAL),),
-        data_groups=(DataGroup("g"),),
-        processes=(
-            FunctionalProcess("p", "l", (ok,)),
-            FunctionalProcess("q", "l", (dataclasses.replace(ok, **changes),)),
-        ),
-    )
-
-
-DANGLING = [
-    {"data_group": "nope"},
-    *({"counterpart": Endpoint(kind, "nope")} for kind in EndpointKind),
-]
-
-
 class TestUnresolvedReferences:
-    @pytest.mark.parametrize("changes", DANGLING)
-    def test_measure_system_raises(self, changes):
+    @pytest.mark.parametrize("category", DANGLING)
+    def test_measure_system_raises(self, category):
         with pytest.raises(UnresolvedReferenceError):
-            measure_system(dangling_model(**changes))
+            measure_system(dangling_model(category))
 
-    @pytest.mark.parametrize("changes", DANGLING)
-    def test_measure_layer_raises_though_it_does_not_validate(self, changes):
+    @pytest.mark.parametrize("category", DANGLING)
+    def test_measure_layer_raises_though_it_does_not_validate(self, category):
         # the count reads each movement's resolution, so a reference that no
         # layer's total depends on fails to resolve all the same
-        model = dangling_model(**changes)
+        model = dangling_model(category)
         with pytest.raises(UnresolvedReferenceError):
             measure_layer(model.layers[0], model)
 

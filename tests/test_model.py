@@ -33,7 +33,7 @@ from qcosmic import (
     system_nature,
     validate,
 )
-from gen import random_model
+from gen import DANGLING, dangling_model, random_model
 from oracles import brute_force_process_nature, brute_force_system_nature
 
 C, Q = Nature.CLASSICAL, Nature.QUANTUM
@@ -195,48 +195,28 @@ class TestDerivedFacts:
         assert "_derived" not in repr(used)
 
 
-#: A counterpart or group that no declaration of small_model() names.
-DANGLING = {
-    "datagroup": {"data_group": "nope"},
-    "user": {"counterpart": Endpoint(EndpointKind.USER, "nope")},
-    "storage": {"counterpart": Endpoint(EndpointKind.STORAGE, "nope")},
-    "process": {"counterpart": Endpoint(EndpointKind.PROCESS, "nope")},
-    "layer": {"counterpart": Endpoint(EndpointKind.LAYER, "nope")},
-}
-
-
-def dangling_model(category: str) -> Model:
-    """small_model() with an extra process "q" whose one movement names nothing."""
-    model = small_model()
-    movement = dataclasses.replace(model.processes[0].movements[0], **DANGLING[category])
-    return dataclasses.replace(
-        model, processes=model.processes + (FunctionalProcess("q", "l", (movement,)),)
-    )
-
-
 class TestUnresolvedReferences:
     """Hand-built models may name what they never declare; parsed ones cannot."""
 
-    @pytest.mark.parametrize("category", ["layer", "datagroup"])
+    @pytest.mark.parametrize("category", ["datagroup", "layer"])
     def test_process_nature_of_another_process_stays_lazy(self, category):
+        model = dangling_model("datagroup")
+        p, q = model.processes
         if category == "layer":
-            model = small_model()
-            model = dataclasses.replace(
-                model, processes=model.processes + (FunctionalProcess("q", "nope", ()),)
-            )
-        else:
-            model = dangling_model(category)
-        assert process_nature(model.processes[0], model) is C
-        with pytest.raises(UnresolvedReferenceError):
-            process_nature(model.processes[1], model)
+            q = dataclasses.replace(q, layer="nope")
+            model = dataclasses.replace(model, processes=(p, q))
+        assert process_nature(p, model) is C
+        with pytest.raises(UnresolvedReferenceError) as exc:
+            process_nature(q, model)
+        assert exc.value.category == category
 
-    @pytest.mark.parametrize("category", sorted(DANGLING))
+    @pytest.mark.parametrize("category", DANGLING)
     def test_validate_raises(self, category):
         with pytest.raises(UnresolvedReferenceError) as exc:
             validate(dangling_model(category))
         assert (exc.value.category, exc.value.name) == (category, "nope")
 
-    @pytest.mark.parametrize("category", sorted(DANGLING))
+    @pytest.mark.parametrize("category", DANGLING)
     @pytest.mark.parametrize("scope", [None, "q"])
     def test_render_dot_raises(self, category, scope):
         with pytest.raises(UnresolvedReferenceError) as exc:
