@@ -232,7 +232,8 @@ LOOKUPS = ("layer", "user", "storage", "data_group", "process")
 
 
 class TestResolveOnce:
-    """validate, measure_system and render_dot resolve each name once per model."""
+    """validate, measure_system and render_dot look names up a bounded number
+    of times, however many movements the model has."""
 
     @staticmethod
     def lookups(monkeypatch, model: Model) -> tuple[int, int]:
