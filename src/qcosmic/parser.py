@@ -23,13 +23,19 @@ double-quoted with backslash escapes. Grammar sketch::
 
 The lexer is one compiled pattern read with ``finditer``, one match per
 token, so lexing runs at the regex engine's speed rather than one Python
-step per character. A token records only its offset and length; its line
-and column are computed on demand from the line-start offsets of the text,
-and the parser asks for them only for what it stores or reports.
+step per character. It fills four parallel lists with one entry per token:
+its ``TokenKind``, its text (a string literal's decoded value), its offset
+and its length. The parser walks these lists by position and builds no
+``Token``; ``tokenize`` zips them into ``Token`` objects for callers that
+want them. A token's line and column are computed on demand from the
+line-start offsets of the text, and the parser asks for them only for the
+declarations and movements it stores and the diagnostics it reports.
 
 The parser reads tokens through two helpers: ``at`` tests the current token
 and ``expect`` takes it, so every S1 that expects a token reads
-``expected <what>, found <token>``. The parser recovers at statement
+``expected <what>, found <token>``. A movement, the most frequent
+statement, tests its tokens in place in the order ``expect`` would take
+them and reports the same S1s. The parser recovers at statement
 boundaries so a single run reports multiple errors, and each block has one
 recovery point: a failed declaration or process header skips to the next
 top-level statement, and a failed attribute, or a token that starts no
@@ -103,6 +109,9 @@ class Token:
         return self.lines.span(self.offset, self.length)
 
 
+KEYWORD, IDENT, STRING, PUNCT, EOI = TokenKind
+
+
 class _Lines:
     """The start offset of every line of one source text.
 
@@ -157,6 +166,7 @@ _ENDPOINT_KINDS = {
     "process": EndpointKind.PROCESS,
     "layer": EndpointKind.LAYER,
 }
+_DIRECTIONS = frozenset({"from", "to"})
 _CONVERSIONS = {"prepare": Conversion.PREPARE, "measure": Conversion.MEASURE}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -167,36 +177,47 @@ _NEWLINE = re.compile(r"\r\n?|\n")
 _TOKEN = re.compile(
     r"(?:[ \t\r\n]+|//[^\r\n]*)*"
     r"(?:"
-    r"([{}:,])"  # 1 punctuation
-    r"|([A-Za-z][A-Za-z0-9_]*)"  # 2 keyword or identifier
-    # 3 string, 4 its undecoded body, 5 the closing quote; an unclosed string
+    r"([A-Za-z][A-Za-z0-9_]*)"  # 1 keyword or identifier
+    # 2 string, 3 its undecoded body, 4 the closing quote; an unclosed string
     # stops before the line break and keeps a backslash that has no escapee
     r'|("((?:[^"\\\r\n]+|\\[^\r\n])*\\?)(")?)'
+    r"|([{}:,])"  # 5 punctuation
     r"|(\Z)"  # 6 end of input
     r"|(.)"  # 7 any other character is illegal
     r")",
     re.DOTALL,
 )
-_PUNCT, _WORD, _STRING, _BODY, _CLOSE, _END, _OTHER = range(1, 8)
+_WORD, _STRING, _BODY, _CLOSE, _PUNCT, _END, _OTHER = range(1, 8)
 
 
-def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    """Lex source text into tokens plus any lexical diagnostics.
+def _scan(text: str, file: str):
+    """Lex ``text`` into parallel lists, one entry per token.
 
-    Always finishes with an end-of-input token. Lexing continues past
-    errors so one run reports every offending character.
+    Returns ``(kinds, texts, offsets, lengths, lines, diagnostics)``: each
+    token's ``TokenKind``, text, offset and length, the line index of the
+    text, and the lexical diagnostics. The lists end with the end-of-input
+    token. Lexing continues past errors so one run reports every offending
+    character.
     """
-    tokens: list[Token] = []
+    kinds: list[TokenKind] = []
+    texts: list[str] = []
+    offsets: list[int] = []
+    lengths: list[int] = []
     diagnostics: list[Diagnostic] = []
+    decoded: dict[str, str] = {}  # escaped body -> value; a name recurs at every use
     lines = _Lines(text, file)
-    append = tokens.append
+    add_kind, add_text, add_offset, add_length = (
+        kinds.append, texts.append, offsets.append, lengths.append
+    )
     for match in _TOKEN.finditer(text):
         group = match.lastindex
         start = match.start(group)
         if group == _WORD:
             word = match[_WORD]
-            kind = TokenKind.KEYWORD if word in KEYWORDS else TokenKind.IDENT
-            append(Token(kind, word, start, len(word), lines))
+            add_kind(KEYWORD if word in KEYWORDS else IDENT)
+            add_text(word)
+            add_offset(start)
+            add_length(len(word))
         elif group == _STRING:
             length = match.end() - start
             if match[_CLOSE] is None:
@@ -205,22 +226,43 @@ def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagno
                 continue
             value = match[_BODY]
             if "\\" in value:
-                value = _ESCAPE.sub(_unescape, value)
-            append(Token(TokenKind.STRING, value, start, length, lines))
+                body, value = value, decoded.get(value)
+                if value is None:
+                    value = decoded[body] = _ESCAPE.sub(_unescape, body)
+            add_kind(STRING)
+            add_text(value)
+            add_offset(start)
+            add_length(length)
         elif group == _PUNCT:
-            append(Token(TokenKind.PUNCT, match[_PUNCT], start, 1, lines))
+            add_kind(PUNCT)
+            add_text(match[_PUNCT])
+            add_offset(start)
+            add_length(1)
         elif group == _END:
             # Columns do not advance through a comment, so after a comment that
             # runs to the end of input the end-of-input token sits at its start.
             tail = max(match.start(), text.rfind("\n") + 1, text.rfind("\r") + 1)
             comment = text.find("//", tail)
-            append(Token(TokenKind.EOI, "", start if comment < 0 else comment, 0, lines))
+            add_kind(EOI)
+            add_text("")
+            add_offset(start if comment < 0 else comment)
+            add_length(0)
             # the end matches empty, so finditer would match it again after trailing blanks
             break
         else:
             message = f"illegal character {match[_OTHER]!r}"
             diagnostics.append(error("L1", message, span=lines.span(start, 1)))
-    return tokens, diagnostics
+    return kinds, texts, offsets, lengths, lines, diagnostics
+
+
+def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
+    """Lex source text into tokens plus any lexical diagnostics.
+
+    Always finishes with an end-of-input token. Lexing continues past
+    errors so one run reports every offending character.
+    """
+    *columns, lines, diagnostics = _scan(text, file)
+    return [Token(*fields, lines) for fields in zip(*columns)], diagnostics
 
 
 def _unescape(match: re.Match) -> str:
@@ -252,8 +294,8 @@ class ParseResult:
 
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.qcm`` source into a fully resolved model."""
-    tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(tokens)
+    *tokens, diagnostics = _scan(text, file)
+    parser = _Parser(*tokens)
     model = parser.parse()
     diagnostics.extend(parser.diagnostics)
     if model is not None:
@@ -264,104 +306,130 @@ def parse_model(text: str, file: str = "<input>") -> ParseResult:
 
 
 class _Parser:
-    """Recursive-descent parser with statement-level error recovery."""
+    """Recursive-descent parser with statement-level error recovery.
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    A token is a position in the scanner's parallel lists; ``pos`` is the
+    current one, and it never moves past the end-of-input token.
+    """
+
+    def __init__(
+        self, kinds: list[TokenKind], texts: list[str], offsets: list[int],
+        lengths: list[int], lines: _Lines,
+    ):
+        self.kinds = kinds
+        self.texts = texts
+        self.offsets = offsets
+        self.lengths = lengths
+        self.lines = lines
         self.pos = 0
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
-        # (category, name token) of every reference, for resolution errors
-        self.references: list[tuple[str, Token]] = []
+        # (category, position of the name) of every reference, for resolution errors
+        self.references: list[tuple[str, int]] = []
 
     # -- token helpers ------------------------------------------------------
 
-    @property
-    def current(self) -> Token:
-        return self.tokens[self.pos]
+    def span(self, pos: int) -> Span:
+        return self.lines.span(self.offsets[pos], self.lengths[pos])
 
-    def advance(self) -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOI:
-            self.pos += 1
-        return token
+    def advance(self) -> int:
+        pos = self.pos
+        if self.kinds[pos] is not EOI:
+            self.pos = pos + 1
+        return pos
 
     def at(self, *words: str) -> bool:
         """The current token is one of ``words``, never a string that reads as one."""
-        tok = self.tokens[self.pos]
-        return tok.kind is not TokenKind.STRING and tok.text in words
+        pos = self.pos
+        return self.texts[pos] in words and self.kinds[pos] is not STRING
 
-    def expect(self, what: str, *words: str) -> Token | None:
+    def at_end(self) -> bool:
+        """The current token is ``}`` or the end of input: a block's last token."""
+        pos = self.pos
+        kind = self.kinds[pos]
+        return kind is EOI or (self.texts[pos] == "}" and kind is not STRING)
+
+    def expect(self, what: str, *words: str) -> int | None:
         """Take one of ``words``, or a string literal when no words are given.
 
-        Otherwise report ``expected {what}, found {token}`` at the current
-        token and take nothing.
+        Return its position. Otherwise report ``expected {what}, found
+        {token}`` at the current token and take nothing.
         """
-        if (self.at(*words) if words else self.current.kind is TokenKind.STRING):
-            return self.advance()
-        self.error(f"expected {what}, found {self._describe(self.current)}")
-        return None
+        pos = self.pos
+        kind = self.kinds[pos]
+        if (self.texts[pos] in words and kind is not STRING) if words else kind is STRING:
+            self.pos = pos + 1  # never past the end of input, which matches nothing
+            return pos
+        return self._expected(pos, what)
+
+    def _expected(self, pos: int, what: str) -> None:
+        """Stop at ``pos`` and report that it is not ``what``."""
+        self.pos = pos
+        self.error(f"expected {what}, found {self._describe(pos)}")
 
     def expect_nature(self) -> Nature | None:
-        tok = self.expect("'classical' or 'quantum'", *_NATURES)
-        return tok and _NATURES[tok.text]
+        pos = self.expect("'classical' or 'quantum'", *_NATURES)
+        return None if pos is None else _NATURES[self.texts[pos]]
 
     def error(self, message: str) -> None:
-        self.diagnostics.append(error("S1", message, span=self.current.span))
+        self.diagnostics.append(error("S1", message, span=self.span(self.pos)))
 
     def duplicate(self, category: str, name: str, span: Span) -> None:
         self.diagnostics.append(error("S2", f"duplicate {category} name {name!r}", name, span))
 
-    def _describe(self, token: Token) -> str:
-        if token.kind is TokenKind.EOI:
+    def _describe(self, pos: int) -> str:
+        kind, text = self.kinds[pos], self.texts[pos]
+        if kind is EOI:
             return "end of input"
-        if token.kind is TokenKind.STRING:
-            return f'string "{token.text}"'
-        return f"{token.text!r}"
+        if kind is STRING:
+            return f'string "{text}"'
+        return f"{text!r}"
 
-    def declare(self, category: str, name_tok: Token, decl) -> None:
+    def declare(self, category: str, decl) -> None:
+        """Keep ``decl`` under its name, or report S2 at its span if the name is taken."""
         names = self.declared[category]
-        if name_tok.text in names:
-            self.duplicate(category, name_tok.text, name_tok.span)
+        if decl.name in names:
+            self.duplicate(category, decl.name, decl.span)
         else:
-            names[name_tok.text] = decl
+            names[decl.name] = decl
 
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Model | None:
-        name_tok = self.expect("'system'", "system") and self.expect("system name string")
-        if name_tok is None or self.expect("'{'", "{") is None:
+        if self.expect("'system'", "system") is None:
+            return None
+        name = self.expect("system name string")
+        if name is None or self.expect("'{'", "{") is None:
             return None
 
         purpose, scope = self._parse_headers()
-        while not self.at("}") and self.current.kind is not TokenKind.EOI:
-            tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in _SIMPLE_DECLS:
-                self._parse_simple_decl(tok.text)
+        while not self.at_end():
+            if self.at(*_SIMPLE_DECLS):
+                self._parse_simple_decl(self.texts[self.pos])
             elif self.at("datagroup"):
                 self._parse_datagroup()
             elif self.at("process"):
                 self._parse_process()
             elif self.at("purpose", "scope"):
-                self.error(f"{tok.text!r} must appear before declarations")
+                self.error(f"{self.texts[self.pos]!r} must appear before declarations")
                 self.advance()
-                if self.current.kind is TokenKind.STRING:
+                if self.kinds[self.pos] is STRING:
                     self.advance()
             else:
-                self.error(f"expected a declaration, found {self._describe(tok)}")
+                self.error(f"expected a declaration, found {self._describe(self.pos)}")
                 self._sync_top_level()
 
-        if self.current.kind is TokenKind.EOI:
+        if self.kinds[self.pos] is EOI:
             self.error("expected '}' to close the system block")
         else:
             self.advance()
-            if self.current.kind is not TokenKind.EOI:
-                self.error(f"unexpected content after system block: {self._describe(self.current)}")
+            if self.kinds[self.pos] is not EOI:
+                self.error(f"unexpected content after system block: {self._describe(self.pos)}")
 
         declared = {category: tuple(names.values()) for category, names in self.declared.items()}
         model = Model(
-            name=name_tok.text,
+            name=self.texts[name],
             purpose=purpose,
             scope=scope,
             layers=declared["layer"],
@@ -372,65 +440,65 @@ class _Parser:
         )
         if model.is_empty():
             message = "empty system: no declarations"
-            self.diagnostics.append(warning("W1", message, model.name, name_tok.span))
+            self.diagnostics.append(warning("W1", message, model.name, self.span(name)))
         return model
 
     def _parse_headers(self) -> tuple[str, str]:
         headers: dict[str, str] = {}
         while self.at("purpose", "scope"):
-            word = self.advance().text
-            value_tok = self.expect(f"{word} string")
-            if value_tok is None:
+            word = self.texts[self.advance()]
+            value = self.expect(f"{word} string")
+            if value is None:
                 self._sync_top_level()
                 continue
             if word in headers:
-                self.duplicate(f"{word} header", word, value_tok.span)
-            headers[word] = value_tok.text
+                self.duplicate(f"{word} header", word, self.span(value))
+            headers[word] = self.texts[value]
         return headers.get("purpose", ""), headers.get("scope", "")
 
     def _parse_simple_decl(self, category: str) -> None:
         self.advance()
         nature = self.expect_nature()
-        name_tok = nature and self.expect(f"{category} name string")
-        if name_tok is None:
+        name = None if nature is None else self.expect(f"{category} name string")
+        if name is None:
             self._sync_top_level()
             return
-        decl = _SIMPLE_DECLS[category](name_tok.text, nature, span=name_tok.span)
-        self.declare(category, name_tok, decl)
+        self.declare(category, _SIMPLE_DECLS[category](self.texts[name], nature, self.span(name)))
 
     def _parse_datagroup(self) -> None:
         self.advance()
-        name_tok = self.expect("datagroup name string")
-        if name_tok is None or self.expect("'{'", "{") is None:
+        name = self.expect("datagroup name string")
+        if name is None or self.expect("'{'", "{") is None:
             self._sync_top_level()
             return
         attributes: dict[str, Attribute] = {}
-        while not self.at("}") and self.current.kind is not TokenKind.EOI:
+        while not self.at_end():
             if not self._parse_attr(attributes) and not self._sync_body(_ATTR_STARTERS):
                 return
         if self.at("}"):
             self.advance()
         else:
             self.error("expected '}' to close the datagroup block")
-        group = DataGroup(name_tok.text, tuple(attributes.values()), span=name_tok.span)
-        self.declare("datagroup", name_tok, group)
+        group = DataGroup(self.texts[name], tuple(attributes.values()), self.span(name))
+        self.declare("datagroup", group)
 
     def _parse_attr(self, attributes: dict[str, Attribute]) -> bool:
         """Read ``attr NAME : nature`` into ``attributes``; False after a syntax error."""
         if self.expect("'attr' or '}'", "attr") is None:
             return False
-        attr_tok = self.current
-        if attr_tok.kind not in (TokenKind.IDENT, TokenKind.KEYWORD):
-            self.error(f"expected attribute name, found {self._describe(attr_tok)}")
+        attr = self.pos
+        if self.kinds[attr] not in (IDENT, KEYWORD):
+            self.error(f"expected attribute name, found {self._describe(attr)}")
             return False
         self.advance()
-        nature = self.expect("':'", ":") and self.expect_nature()
+        nature = None if self.expect("':'", ":") is None else self.expect_nature()
         if nature is None:
             return False
-        if attr_tok.text in attributes:
-            self.duplicate("attribute", attr_tok.text, attr_tok.span)
+        name = self.texts[attr]
+        if name in attributes:
+            self.duplicate("attribute", name, self.span(attr))
         else:
-            attributes[attr_tok.text] = Attribute(attr_tok.text, nature)
+            attributes[name] = Attribute(name, nature)
         return True
 
     def _parse_process(self) -> None:
@@ -439,104 +507,118 @@ class _Parser:
         if header is None:
             self._sync_top_level()
             return
-        name_tok, layer_tok, uses = header
+        name, layer, uses = header
+        kinds, texts = self.kinds, self.texts
         movements: list[DataMovement] = []
         failed_at = -1  # where the last failed movement stopped; it reported there
-        while not self.at("}") and self.current.kind is not TokenKind.EOI:
-            tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in MOVEMENT_KEYWORDS:
+        while not self.at_end():
+            pos = self.pos
+            if kinds[pos] is KEYWORD and texts[pos] in MOVEMENT_KEYWORDS:
                 movement = self._parse_movement()
                 if movement is None:
                     failed_at = self.pos
                 else:
                     movements.append(movement)
-            elif tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS:
+            elif kinds[pos] is KEYWORD and texts[pos] in _DECL_KEYWORDS:
                 # a declaration keyword here means the closing brace is missing
                 self.error("expected '}' to close the process block before this declaration")
                 break
             else:
-                if self.pos != failed_at:
-                    self.error(f"expected a movement or '}}', found {self._describe(tok)}")
+                if pos != failed_at:
+                    self.error(f"expected a movement or '}}', found {self._describe(pos)}")
                 if not self._sync_body(_MOVEMENT_STARTERS):
                     return
         if self.at("}"):
             self.advance()
 
         process = FunctionalProcess(
-            name_tok.text, layer_tok.text, tuple(movements), tuple(uses), span=name_tok.span
+            texts[name], texts[layer], tuple(movements), tuple(uses), self.span(name)
         )
-        self.declare("process", name_tok, process)
+        self.declare("process", process)
 
-    def _parse_process_header(self) -> tuple[Token, Token, list[str]] | None:
-        """``"name" in layer "L" (uses "P", ...)? {``; None after a syntax error."""
-        name_tok = self.expect("process name string")
-        in_layer = name_tok and self.expect("'in'", "in") and self.expect("'layer'", "layer")
-        layer_tok = in_layer and self.expect("layer name string")
-        if layer_tok is None:
+    def _parse_process_header(self) -> tuple[int, int, list[str]] | None:
+        """``"name" in layer "L" (uses "P", ...)? {``; None after a syntax error.
+
+        Returns the positions of the process and layer names, and the used names.
+        """
+        name = self.expect("process name string")
+        if (
+            name is None
+            or self.expect("'in'", "in") is None
+            or self.expect("'layer'", "layer") is None
+        ):
             return None
-        self.references.append(("layer", layer_tok))
+        layer = self.expect("layer name string")
+        if layer is None:
+            return None
+        self.references.append(("layer", layer))
         uses: list[str] = []
         more = self.at("uses")
         while more:
             self.advance()
-            used_tok = self.expect("process name string")
-            if used_tok is None:
+            used = self.expect("process name string")
+            if used is None:
                 return None
-            uses.append(used_tok.text)
-            self.references.append(("process", used_tok))
+            uses.append(self.texts[used])
+            self.references.append(("process", used))
             more = self.at(",")
         if self.expect("'{'", "{") is None:
             return None
-        return name_tok, layer_tok, uses
+        return name, layer, uses
 
     def _parse_movement(self) -> DataMovement | None:
-        kind_tok = self.advance()
-        group_tok = self.expect("data group string")
-        direction_tok = group_tok and self.expect("'from' or 'to'", "from", "to")
-        endpoint_tok = direction_tok and self.expect(
-            "'user', 'storage', 'process', or 'layer'", *_ENDPOINT_KINDS
-        )
-        name_tok = endpoint_tok and self.expect("endpoint name string")
-        if name_tok is None:
-            return None
+        """Read ``kind "group" (from|to) endpoint "name" (via conversion)?``.
+
+        None after a syntax error. The tokens are tested in place, in the order
+        ``expect`` would take them; a test passes only on a token other than the
+        end of input, so the next position always exists.
+        """
+        kinds, texts, start = self.kinds, self.texts, self.pos
+        group, direction, endpoint, name = start + 1, start + 2, start + 3, start + 4
+        if kinds[group] is not STRING:
+            return self._expected(group, "data group string")
+        if texts[direction] not in _DIRECTIONS or kinds[direction] is STRING:
+            return self._expected(direction, "'from' or 'to'")
+        if texts[endpoint] not in _ENDPOINT_KINDS or kinds[endpoint] is STRING:
+            return self._expected(endpoint, "'user', 'storage', 'process', or 'layer'")
+        if kinds[name] is not STRING:
+            return self._expected(name, "endpoint name string")
+        pos = name + 1
         conversion = Conversion.NONE
-        if self.at("via"):
-            self.advance()
-            conversion_tok = self.expect("'prepare' or 'measure'", *_CONVERSIONS)
-            if conversion_tok is None:
-                return None
-            conversion = _CONVERSIONS[conversion_tok.text]
-        endpoint_kind = _ENDPOINT_KINDS[endpoint_tok.text]
-        self.references.append(("datagroup", group_tok))
-        self.references.append((endpoint_kind.value, name_tok))
+        if texts[pos] == "via" and kinds[pos] is not STRING:
+            pos += 1
+            if texts[pos] not in _CONVERSIONS or kinds[pos] is STRING:
+                return self._expected(pos, "'prepare' or 'measure'")
+            conversion = _CONVERSIONS[texts[pos]]
+            pos += 1
+        self.pos = pos
+        endpoint_kind = _ENDPOINT_KINDS[texts[endpoint]]
+        self.references.append(("datagroup", group))
+        self.references.append((texts[endpoint], name))  # the keyword names the category
         return DataMovement(
-            kind=MOVEMENT_KEYWORDS[kind_tok.text],
-            data_group=group_tok.text,
-            counterpart=Endpoint(endpoint_kind, name_tok.text),
-            conversion=conversion,
-            span=kind_tok.span,
+            MOVEMENT_KEYWORDS[texts[start]],
+            texts[group],
+            Endpoint(endpoint_kind, texts[name]),
+            conversion,
+            self.span(start),
         )
 
     # -- recovery -----------------------------------------------------------
 
     def _sync_top_level(self) -> None:
         """Skip to the next top-level statement boundary."""
-        while not self.at("}") and self.current.kind is not TokenKind.EOI:
-            tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in _TOP_LEVEL_STARTERS:
-                return
+        while not self.at_end() and not self.at(*_TOP_LEVEL_STARTERS):
             self.advance()
 
     def _sync_body(self, starters: frozenset[str]) -> bool:
         """Skip within a block body; False when the block was abandoned."""
-        while self.current.kind is not TokenKind.EOI:
-            tok = self.current
-            if tok.kind is TokenKind.KEYWORD and tok.text in starters:
+        while self.kinds[self.pos] is not EOI:
+            if self.at(*starters):
                 return True
             if self.at("}"):
                 self.advance()
                 return False
-            if tok.kind is TokenKind.KEYWORD and tok.text in _DECL_KEYWORDS:
+            if self.at(*_DECL_KEYWORDS):
                 return False
             self.advance()
         return False
@@ -544,8 +626,9 @@ class _Parser:
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
     """Report S3 for every reference that names no declaration."""
-    for category, name_tok in parser.references:
-        name = name_tok.text
-        if name not in parser.declared[category]:
+    texts, declared = parser.texts, parser.declared
+    for category, pos in parser.references:
+        name = texts[pos]
+        if name not in declared[category]:
             message = f"unresolved {category} reference {name!r}"
-            diagnostics.append(error("S3", message, name, name_tok.span))
+            diagnostics.append(error("S3", message, name, parser.span(pos)))

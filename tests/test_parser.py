@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -17,8 +21,11 @@ from qcosmic import (
     parse_model,
     tokenize,
 )
-from qcosmic.parser import quote
+from qcosmic import parser
+from qcosmic.parser import Token, quote
+from conftest import FIXTURES
 from gen import hostile_texts
+from oracles import reference_tokenize
 
 
 def lexemes(text: str) -> list[tuple[str, str, tuple[int, int, int]]]:
@@ -410,3 +417,40 @@ class TestParseModel:
             assert result.model is not None or any(
                 d.severity is Severity.ERROR for d in result.diagnostics
             )
+
+
+def _bench_corpus():
+    """``bench/corpus.py``, the benchmark's model generator, loaded by path."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTokenArrays:
+    """``parse_model`` reads the scanner's parallel lists; only ``tokenize`` builds tokens."""
+
+    @pytest.fixture(scope="class")
+    def texts(self) -> list[str]:
+        corpus = _bench_corpus()
+        texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.qcm"))]
+        return texts + [corpus.resolve_model(3, 4).source, corpus.bad_parse_model(3, 4).source]
+
+    def test_parse_model_builds_no_token(self, texts, monkeypatch):
+        expected = [parse_model(text) for text in texts]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parse_model built a Token")
+
+        monkeypatch.setattr(parser, "Token", refuse)
+        assert [parse_model(text) for text in texts] == expected
+        assert sum(result.model is not None for result in expected) > len(texts) // 2
+
+    def test_tokenize_still_returns_reference_tokens(self, texts):
+        for text in texts:
+            tokens, diagnostics = tokenize(text, file="t.qcm")
+            expected_tokens, expected_diagnostics = reference_tokenize(text, file="t.qcm")
+            assert all(type(token) is Token for token in tokens)
+            assert [(t.kind.value, t.text, t.span) for t in tokens] == expected_tokens
+            assert diagnostics == expected_diagnostics
