@@ -280,26 +280,44 @@ def _nature_and_layer(process: FunctionalProcess, model: Model) -> tuple[Nature,
     layer = model.layer(process.layer)
     if layer.nature is Nature.QUANTUM:
         return Nature.QUANTUM, layer
+    groups = _group_natures(model)
     for movement in process.movements:
         if movement.conversion is not Conversion.NONE:
             return Nature.QUANTUM, layer
-        if _group_nature(movement.data_group, model) is Nature.QUANTUM:
+        if _group_nature(groups, movement.data_group) is Nature.QUANTUM:
             return Nature.QUANTUM, layer
     return Nature.CLASSICAL, layer
 
 
-def _group_nature(name: str, model: Model) -> Nature:
-    return model._memo(("datagroup", name), lambda: data_group_nature(model.data_group(name)))
+def _group_natures(model: Model) -> dict[str, Nature]:
+    """Every declared data group's nature, by name."""
+    return model._memo("datagroups", lambda: {
+        name: data_group_nature(group) for name, group in model._index["datagroup"].items()
+    })
+
+
+def _group_nature(groups: dict[str, Nature], name: str) -> Nature:
+    nature = groups.get(name)
+    if nature is None:
+        raise UnresolvedReferenceError("datagroup", name)
+    return nature
 
 
 def _movement_facts(process: FunctionalProcess, model: Model) -> tuple[tuple, tuple]:
-    groups, counterparts = [], []  # one shared (nature, layer) per counterpart
+    groups = _group_natures(model)
+    # (kind, name) -> the counterpart's shared (nature, layer), filled on first
+    # use; keyed by the kind's value, since hashing an enum member runs Python code
+    known = model._memo("counterparts", dict)
+    natures, counterparts = [], []
     for movement in process.movements:
-        groups.append(_group_nature(movement.data_group, model))
+        natures.append(_group_nature(groups, movement.data_group))
         endpoint = movement.counterpart
-        key = (endpoint.kind, endpoint.name)
-        counterparts.append(model._memo(key, lambda: _counterpart(endpoint, model)))
-    return tuple(groups), tuple(counterparts)
+        key = (endpoint.kind._value_, endpoint.name)
+        counterpart = known.get(key)
+        if counterpart is None:
+            counterpart = known[key] = _counterpart(endpoint, model)
+        counterparts.append(counterpart)
+    return tuple(natures), tuple(counterparts)
 
 
 def _counterpart(endpoint: Endpoint, model: Model) -> tuple[Nature, Layer | None]:

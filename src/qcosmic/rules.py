@@ -104,11 +104,12 @@ def _movement_findings(
     kind, cp, conversion = movement.kind, movement.counterpart, movement.conversion
     quantum_kind = movement_is_quantum(kind)
     to_storage = cp.kind is EndpointKind.STORAGE
+    storage_kind = kind in STORAGE_KINDS
     # R2: read/write target storage, entry/exit do not. R3 (storage nature
     # matches the kind family) applies once R2 holds.
-    if kind in STORAGE_KINDS and not to_storage:
+    if storage_kind and not to_storage:
         yield "R2", "read and write movements must target storage"
-    elif kind not in STORAGE_KINDS and to_storage:
+    elif not storage_kind and to_storage:
         yield "R2", "entry and exit movements cannot target storage"
     elif to_storage and counterpart is Nature.QUANTUM and not quantum_kind:
         yield "R3", "quantum storage accepts only qread/qwrite"
