@@ -226,9 +226,9 @@ def _scan(text: str, file: str):
                 continue
             value = match[_BODY]
             if "\\" in value:
-                body, value = value, decoded.get(value)
-                if value is None:
-                    value = decoded[body] = _ESCAPE.sub(_unescape, body)
+                if value not in decoded:
+                    decoded[value] = _ESCAPE.sub(_unescape, value)
+                value = decoded[value]
             add_kind(STRING)
             add_text(value)
             add_offset(start)
