@@ -27,11 +27,12 @@ from .model import (
     KIND_ORDER,
     Model,
     Nature,
+    QUANTUM_KINDS,
     _resolution,
-    movement_is_quantum,
     process_nature,
 )
-from .parser import quote  # DOT IDs escape quotes, backslashes and line breaks as .qcm does
+# DOT IDs escape quotes, backslashes and line breaks as .qcm does
+from .parser import _Quoted, quote
 
 __all__ = [
     "RenderOptions",
@@ -52,7 +53,7 @@ class RenderOptions:
 
 
 def _tally_text(tally) -> str:
-    parts = [f"{tally[kind]}{kind.value}" for kind in KIND_ORDER if tally[kind]]
+    parts = [f"{tally[kind]}{kind._value_}" for kind in KIND_ORDER if tally[kind]]
     return " ".join(parts) if parts else "-"
 
 
@@ -65,14 +66,14 @@ def render_text(report: MeasurementReport, opts: RenderOptions | None = None) ->
         lines += _table(
             ("process", "layer", "nature", "qcfp", "movements"),
             [
-                (p.name, p.layer, p.nature.value, str(p.qcfp), _tally_text(p.tally))
+                (p.name, p.layer, p.nature._value_, str(p.qcfp), _tally_text(p.tally))
                 for p in report.per_process
             ],
         )
     if opts.by_layer and report.per_layer:
         lines += _table(
             ("layer", "nature", "qcfp"),
-            [(l.name, l.nature.value, str(l.qcfp)) for l in report.per_layer],
+            [(l.name, l.nature._value_, str(l.qcfp)) for l in report.per_layer],
         )
 
     totals = report.totals
@@ -115,14 +116,14 @@ def render_json(report: MeasurementReport) -> str:
             {
                 "name": p.name,
                 "layer": p.layer,
-                "nature": p.nature.value,
+                "nature": p.nature._value_,
                 "qcfp": p.qcfp,
-                "movements": {kind.value: p.tally[kind] for kind in KIND_ORDER},
+                "movements": {kind._value_: p.tally[kind] for kind in KIND_ORDER},
             }
             for p in report.per_process
         ],
         "layers": [
-            {"name": l.name, "nature": l.nature.value, "qcfp": l.qcfp}
+            {"name": l.name, "nature": l.nature._value_, "qcfp": l.qcfp}
             for l in report.per_layer
         ],
     }
@@ -137,12 +138,12 @@ def render_csv(report: MeasurementReport) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_MINIMAL)
     writer.writerow(
-        ["process", "layer", "nature"] + [kind.value for kind in KIND_ORDER] + ["qcfp"]
+        ["process", "layer", "nature"] + [kind._value_ for kind in KIND_ORDER] + ["qcfp"]
     )
     kind_totals = {kind: 0 for kind in KIND_ORDER}
     for p in report.per_process:
         writer.writerow(
-            [p.name, p.layer, p.nature.value]
+            [p.name, p.layer, p.nature._value_]
             + [p.tally[kind] for kind in KIND_ORDER]
             + [p.qcfp]
         )
@@ -201,14 +202,18 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
             layer = _resolution(process, model)[0]
             layers[layer].append((process.name, process_nature(process, model)))
 
+    # node IDs by endpoint kind and name, each escaped once per call
+    ids = {kind: _Quoted(f"{kind._value_} ") for kind in EndpointKind}
+    clusters = _Quoted("cluster layer ")
+
     lines = [f"digraph {quote(model.name)} {{"]
     lines.append("  rankdir=LR;")
     lines.append("  compound=true;")
 
     for name, nature in users:
-        lines.append(_node(quote(f"user {name}"), name, nature, "ellipse"))
+        lines.append(_node(ids[EndpointKind.USER][name], name, nature, "ellipse"))
     for name, nature in storages:
-        lines.append(_node(quote(f"storage {name}"), name, nature, "cylinder"))
+        lines.append(_node(ids[EndpointKind.STORAGE][name], name, nature, "cylinder"))
 
     if layers:
         lines.append(f"  subgraph {quote('cluster software')} {{")
@@ -216,24 +221,25 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
         lines.append("    style=dashed;")
         for layer, members in layers.items():
             peripheries = 2 if layer.nature is Nature.QUANTUM else 1
-            lines.append(f"    subgraph {quote(f'cluster layer {layer.name}')} {{")
+            lines.append(f"    subgraph {clusters[layer.name]} {{")
             lines.append(f"      label={_label(layer.name, layer.nature)};")
             lines.append(f"      peripheries={peripheries};")
-            lines.append(f"      {quote(f'layer {layer.name}')} [shape=point, style=invis];")
+            lines.append(f"      {ids[EndpointKind.LAYER][layer.name]} [shape=point, style=invis];")
             for name, nature in members:
-                lines.append(_node(quote(f"process {name}"), name, nature, "box", indent=" " * 6))
+                lines.append(
+                    _node(ids[EndpointKind.PROCESS][name], name, nature, "box", indent=" " * 6)
+                )
             lines.append("    }")
         lines.append("  }")
 
-    for process in [scoped] if scoped else model.processes:
-        for movement in unique_movements(process):
-            lines.append(_edge(process, movement))
+    _edges([scoped] if scoped else model.processes, ids, clusters, lines)
 
     if scoped is None:
+        process_ids = ids[EndpointKind.PROCESS]
         for process in model.processes:
             for used in process.uses:
                 lines.append(
-                    f"  {quote(f'process {process.name}')} -> {quote(f'process {used}')} "
+                    f"  {process_ids[process.name]} -> {process_ids[used]} "
                     "[label=uses, style=dashed, arrowhead=open];"
                 )
 
@@ -261,28 +267,33 @@ def _participants(scoped: FunctionalProcess, model: Model):
     return users.items(), storages.items(), layers
 
 
-def _edge(process: FunctionalProcess, movement) -> str:
-    cp = movement.counterpart
-    process_id = quote(f"process {process.name}")
-    attrs = [f"label={quote(_edge_label(movement))}"]
-    if cp.kind is EndpointKind.LAYER:
-        cp_id = quote(f"layer {cp.name}")
-        cluster = quote(f"cluster layer {cp.name}")
-        side = "ltail" if movement.kind in INBOUND_KINDS else "lhead"
-        attrs.append(f"{side}={cluster}")
-    else:
-        cp_id = quote(f"{cp.kind.value} {cp.name}")
-    if movement_is_quantum(movement.kind):
-        attrs.append("penwidth=2")
-    if movement.kind in INBOUND_KINDS:
-        left, right = cp_id, process_id
-    else:
-        left, right = process_id, cp_id
-    return f"  {left} -> {right} [{', '.join(attrs)}];"
+def _edges(processes, ids: dict, clusters: _Quoted, lines: list[str]) -> None:
+    """One edge line per unique movement of each process, appended to ``lines``."""
+    process_ids = ids[EndpointKind.PROCESS]
+    labels: dict[tuple, str] = {}  # (kind, group, conversion) -> escaped label
+    for process in processes:
+        process_id = process_ids[process.name]
+        for movement in unique_movements(process):
+            kind, cp = movement.kind, movement.counterpart
+            key = (kind, movement.data_group, movement.conversion)
+            label = labels.get(key)
+            if label is None:
+                label = labels[key] = quote(_edge_label(*key))
+            attrs = f"label={label}"
+            inbound = kind in INBOUND_KINDS
+            if cp.kind is EndpointKind.LAYER:
+                attrs += f", {'ltail' if inbound else 'lhead'}={clusters[cp.name]}"
+            if kind in QUANTUM_KINDS:
+                attrs += ", penwidth=2"
+            cp_id = ids[cp.kind][cp.name]
+            if inbound:
+                lines.append(f"  {cp_id} -> {process_id} [{attrs}];")
+            else:
+                lines.append(f"  {process_id} -> {cp_id} [{attrs}];")
 
 
-def _edge_label(movement) -> str:
-    label = f"{movement.kind.value}: {movement.data_group}"
-    if movement.conversion is not Conversion.NONE:
-        label += f" ({movement.conversion.value})"
+def _edge_label(kind, data_group: str, conversion: Conversion) -> str:
+    label = f"{kind._value_}: {data_group}"
+    if conversion is not Conversion.NONE:
+        label += f" ({conversion._value_})"
     return label

@@ -16,11 +16,16 @@ from .model import (
     INBOUND_KINDS,
     Model,
 )
-from .parser import MOVEMENT_KEYWORDS, quote
+from .parser import MOVEMENT_KEYWORDS, _Quoted, quote
 
 __all__ = ["format_model", "format_movement"]
 
-_KIND_WORDS = {kind: word for word, kind in MOVEMENT_KEYWORDS.items()}
+# kind -> (keyword, direction): entries and reads come from somewhere, exits
+# and writes go to somewhere
+_KIND_WORDS = {
+    kind: (word, "from" if kind in INBOUND_KINDS else "to")
+    for word, kind in MOVEMENT_KEYWORDS.items()
+}
 
 
 def format_model(model: Model) -> str:
@@ -28,6 +33,7 @@ def format_model(model: Model) -> str:
     if model.is_empty() and not model.purpose and not model.scope:
         return f"system {quote(model.name)} {{}}\n"
 
+    names = _Quoted()  # each declared or referenced name is escaped once per call
     lines: list[str] = [f"system {quote(model.name)} {{"]
     sections: list[list[str]] = []
 
@@ -46,13 +52,13 @@ def format_model(model: Model) -> str:
     ):
         if declared:
             sections.append(
-                [f"  {category} {d.nature.value} {quote(d.name)}" for d in declared]
+                [f"  {category} {d.nature._value_} {names[d.name]}" for d in declared]
             )
 
     for group in model.data_groups:
-        sections.append(_format_group(group))
+        sections.append(_format_group(group, names))
     for process in model.processes:
-        sections.append(_format_process(process))
+        sections.append(_format_process(process, names))
 
     for index, section in enumerate(sections):
         if index:
@@ -62,40 +68,41 @@ def format_model(model: Model) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _format_group(group: DataGroup) -> list[str]:
-    head = f"  datagroup {quote(group.name)}"
+def _format_group(group: DataGroup, names: _Quoted) -> list[str]:
+    head = f"  datagroup {names[group.name]}"
     if not group.attributes:
         return [head + " {}"]
     lines = [head + " {"]
     for attr in group.attributes:
-        lines.append(f"    attr {attr.name}: {attr.nature.value}")
+        lines.append(f"    attr {attr.name}: {attr.nature._value_}")
     lines.append("  }")
     return lines
 
 
-def _format_process(process: FunctionalProcess) -> list[str]:
-    head = f"  process {quote(process.name)} in layer {quote(process.layer)}"
+def _format_process(process: FunctionalProcess, names: _Quoted) -> list[str]:
+    head = f"  process {names[process.name]} in layer {names[process.layer]}"
     if process.uses:
-        head += " uses " + ", ".join(quote(u) for u in process.uses)
+        head += " uses " + ", ".join(names[u] for u in process.uses)
     if not process.movements:
         return [head + " {}"]
+    quoted = names.__getitem__
     lines = [head + " {"]
     for movement in process.movements:
-        lines.append("    " + format_movement(movement))
+        lines.append("    " + _movement_line(movement, quoted))
     lines.append("  }")
     return lines
 
 
 def format_movement(movement: DataMovement) -> str:
     """One movement statement in canonical form, without indentation."""
-    parts = [
-        _KIND_WORDS[movement.kind],
-        quote(movement.data_group),
-        # entries and reads come from somewhere, exits and writes go to somewhere
-        "from" if movement.kind in INBOUND_KINDS else "to",
-        movement.counterpart.kind.value,
-        quote(movement.counterpart.name),
-    ]
+    return _movement_line(movement, quote)
+
+
+def _movement_line(movement: DataMovement, quoted) -> str:
+    """``format_movement``, with names escaped by ``quoted``."""
+    word, direction = _KIND_WORDS[movement.kind]
+    cp = movement.counterpart
+    line = f"{word} {quoted(movement.data_group)} {direction} {cp.kind._value_} {quoted(cp.name)}"
     if movement.conversion is not Conversion.NONE:
-        parts += ["via", movement.conversion.value]
-    return " ".join(parts)
+        line += f" via {movement.conversion._value_}"
+    return line

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
 
 from .diagnostics import Diagnostic, has_errors
 from .model import (
@@ -34,8 +33,8 @@ from .model import (
     Model,
     MovementKind,
     Nature,
+    QUANTUM_KINDS,
     _resolution,
-    movement_is_quantum,
     process_nature,
     system_nature,
 )
@@ -72,13 +71,20 @@ class DedupMode(enum.Enum):
 
 
 def _first_occurrences(process: FunctionalProcess, dedup: DedupMode) -> list[int]:
-    """Positions of the countable movements of a process: the first of each dedup key."""
+    """Positions of the countable movements of a process: the first of each dedup key.
+
+    A key is a flat tuple: (kind, data group, counterpart kind, counterpart
+    name), or (kind, data group) under ``DedupMode.COSMIC``. An ``Endpoint``
+    in the key would hash through its dataclass ``__hash__``, in Python.
+    """
     first: dict[tuple, int] = {}
-    for position, movement in enumerate(process.movements):
-        key = (movement.kind, movement.data_group)
-        if dedup is DedupMode.ENDPOINT:
-            key += (movement.counterpart,)
-        first.setdefault(key, position)
+    if dedup is DedupMode.ENDPOINT:
+        for position, movement in enumerate(process.movements):
+            cp = movement.counterpart
+            first.setdefault((movement.kind, movement.data_group, cp.kind, cp.name), position)
+    else:
+        for position, movement in enumerate(process.movements):
+            first.setdefault((movement.kind, movement.data_group), position)
     return list(first.values())
 
 
@@ -114,7 +120,7 @@ def _count(model: Model, dedup: DedupMode):
             far = counterparts[position][1]
             tally[kind] += 1
             charged = layer  # the per-layer rule of the module docstring
-            if movement_is_quantum(kind):
+            if kind in QUANTUM_KINDS:
                 quantum_qcfp += 1
             elif layer.nature is Nature.QUANTUM and far is not None and far.nature is Nature.CLASSICAL:
                 charged = far
@@ -158,11 +164,16 @@ class MeasurementReport:
 
 
 def percent(part: int, total: int) -> str:
-    """Share of ``total`` as a percentage string with one decimal, half-up."""
+    """Share of ``total`` as a percentage string with one decimal, half-up.
+
+    ``part`` and ``total`` are counts with ``0 <= part <= total``.
+    """
     if total == 0:
         return "0.0"
-    value = Decimal(100 * part) / Decimal(total)
-    return str(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    tenths, rest = divmod(1000 * part, total)
+    if 2 * rest >= total:
+        tenths += 1
+    return f"{tenths // 10}.{tenths % 10}"
 
 
 def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> MeasurementReport:

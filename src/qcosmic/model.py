@@ -64,12 +64,23 @@ class UnresolvedReferenceError(LookupError):
         self.name = name
 
 
-class Nature(enum.Enum):
+class _Tag(enum.Enum):
+    """Base of the model's enums: a member hashes by identity.
+
+    ``enum.Enum.__hash__`` is a Python function, and the rules, the counter
+    and the renderers hash members per movement. Members are singletons and
+    compare by identity, so ``object.__hash__`` agrees with equality.
+    """
+
+    __hash__ = object.__hash__
+
+
+class Nature(_Tag):
     CLASSICAL = "classical"
     QUANTUM = "quantum"
 
 
-class MovementKind(enum.Enum):
+class MovementKind(_Tag):
     """The eight countable data movement kinds."""
 
     E = "E"
@@ -85,6 +96,9 @@ class MovementKind(enum.Enum):
 #: Movement kinds that target persistent storage.
 STORAGE_KINDS = frozenset({MovementKind.R, MovementKind.W, MovementKind.QR, MovementKind.QW})
 
+#: Movement kinds that carry quantum data.
+QUANTUM_KINDS = frozenset({MovementKind.QE, MovementKind.QX, MovementKind.QR, MovementKind.QW})
+
 #: Movement kinds whose data flows from the counterpart into the process.
 INBOUND_KINDS = frozenset({MovementKind.E, MovementKind.QE, MovementKind.R, MovementKind.QR})
 
@@ -92,7 +106,7 @@ INBOUND_KINDS = frozenset({MovementKind.E, MovementKind.QE, MovementKind.R, Move
 KIND_ORDER = tuple(MovementKind)
 
 
-class Conversion(enum.Enum):
+class Conversion(_Tag):
     """Classical/quantum boundary conversion carried by a movement."""
 
     NONE = "none"
@@ -100,7 +114,7 @@ class Conversion(enum.Enum):
     MEASURE = "measure"
 
 
-class EndpointKind(enum.Enum):
+class EndpointKind(_Tag):
     USER = "user"
     STORAGE = "storage"
     PROCESS = "process"
@@ -237,7 +251,7 @@ class Model:
 
 def movement_is_quantum(kind: MovementKind) -> bool:
     """True for QE/QX/QR/QW, false for the four classical kinds."""
-    return kind in (MovementKind.QE, MovementKind.QX, MovementKind.QR, MovementKind.QW)
+    return kind in QUANTUM_KINDS
 
 
 def data_group_nature(group: DataGroup) -> Nature:
@@ -305,14 +319,13 @@ def _group_nature(groups: dict[str, Nature], name: str) -> Nature:
 
 def _movement_facts(process: FunctionalProcess, model: Model) -> tuple[tuple, tuple]:
     groups = _group_natures(model)
-    # (kind, name) -> the counterpart's shared (nature, layer), filled on first
-    # use; keyed by the kind's value, since hashing an enum member runs Python code
+    # (kind, name) -> the counterpart's shared (nature, layer), filled on first use
     known = model._memo("counterparts", dict)
     natures, counterparts = [], []
     for movement in process.movements:
         natures.append(_group_nature(groups, movement.data_group))
         endpoint = movement.counterpart
-        key = (endpoint.kind._value_, endpoint.name)
+        key = (endpoint.kind, endpoint.name)
         counterpart = known.get(key)
         if counterpart is None:
             counterpart = known[key] = _counterpart(endpoint, model)
@@ -321,7 +334,7 @@ def _movement_facts(process: FunctionalProcess, model: Model) -> tuple[tuple, tu
 
 
 def _counterpart(endpoint: Endpoint, model: Model) -> tuple[Nature, Layer | None]:
-    declared = getattr(model, endpoint.kind.value)(endpoint.name)  # model.user, .layer, ...
+    declared = getattr(model, endpoint.kind._value_)(endpoint.name)  # model.user, .layer, ...
     if endpoint.kind is EndpointKind.PROCESS:
         return _declared(declared, model, "process", _nature_and_layer)
     return declared.nature, declared if endpoint.kind is EndpointKind.LAYER else None

@@ -280,6 +280,24 @@ def quote(value: str) -> str:
     ) + '"'
 
 
+class _Quoted(dict):
+    """``quote(prefix + name)`` by name, each computed on first use.
+
+    A renderer makes one per call, so a name that recurs is escaped once and
+    nothing outlives the call.
+    """
+
+    __slots__ = ("prefix",)
+
+    def __init__(self, prefix: str = "") -> None:
+        super().__init__()
+        self.prefix = prefix
+
+    def __missing__(self, name: str) -> str:
+        self[name] = quoted = quote(self.prefix + name)
+        return quoted
+
+
 @dataclass
 class ParseResult:
     """Outcome of a parse: a model when clean, diagnostics always.

@@ -38,9 +38,9 @@ from .model import (
     Model,
     MovementKind,
     Nature,
+    QUANTUM_KINDS,
     STORAGE_KINDS,
     _resolution,
-    movement_is_quantum,
     process_nature,  # noqa: F401  bench/tracing.py patches this name
     system_nature,
 )
@@ -102,7 +102,7 @@ def _movement_findings(
     movement: DataMovement, layer: Layer, group: Nature, counterpart: Nature
 ) -> Iterator[tuple[str, str]]:
     kind, cp, conversion = movement.kind, movement.counterpart, movement.conversion
-    quantum_kind = movement_is_quantum(kind)
+    quantum_kind = kind in QUANTUM_KINDS
     to_storage = cp.kind is EndpointKind.STORAGE
     storage_kind = kind in STORAGE_KINDS
     # R2: read/write target storage, entry/exit do not. R3 (storage nature
@@ -280,11 +280,10 @@ def _rule_p1(model: Model) -> Iterator[Diagnostic]:
 def _rule_p2(model: Model) -> Iterator[Diagnostic]:
     # Layers and users are strategy-phase declarations and may legitimately
     # go unreferenced; data groups and storages exist only to be moved.
-    used_groups = {m.data_group for _, m in _movements(model)}
+    moved = [m for process in model.processes for m in process.movements]
+    used_groups = {m.data_group for m in moved}
     used_storages = {
-        m.counterpart.name
-        for _, m in _movements(model)
-        if m.counterpart.kind is EndpointKind.STORAGE
+        m.counterpart.name for m in moved if m.counterpart.kind is EndpointKind.STORAGE
     }
     for group in model.data_groups:
         if group.name not in used_groups:

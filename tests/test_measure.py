@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from decimal import ROUND_HALF_UP, Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcosmic import (
     DataMovement,
@@ -64,6 +67,21 @@ class TestUniqueMovements:
             (movement(MovementKind.E, ep_name="u1"), movement(MovementKind.E, ep_name="u2")),
         )
         assert len(unique_movements(process, DedupMode.ENDPOINT)) == 2
+        assert len(unique_movements(process, DedupMode.COSMIC)) == 1
+
+    def test_counterpart_key_is_its_kind_and_name(self):
+        process = FunctionalProcess(
+            "p",
+            "l",
+            tuple(
+                movement(MovementKind.X, ep_kind=kind, ep_name="A")
+                for kind in (EndpointKind.USER, EndpointKind.PROCESS, EndpointKind.LAYER,
+                             EndpointKind.USER)
+            ),
+        )
+        assert [m.counterpart.kind for m in unique_movements(process)] == [
+            EndpointKind.USER, EndpointKind.PROCESS, EndpointKind.LAYER,
+        ]
         assert len(unique_movements(process, DedupMode.COSMIC)) == 1
 
     def test_first_occurrence_order(self):
@@ -272,3 +290,25 @@ class TestPercent:
     )
     def test_one_decimal_half_up(self, part, total, expected):
         assert percent(part, total) == expected
+
+    @staticmethod
+    def reference(part: int, total: int) -> str:
+        if total == 0:
+            return "0.0"
+        value = Decimal(100 * part) / Decimal(total)
+        return str(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+
+    def test_equals_decimal_half_up_for_every_share_up_to_1000(self):
+        wrong = [
+            (part, total)
+            for total in range(1001)
+            for part in range(total + 1)
+            if percent(part, total) != self.reference(part, total)
+        ]
+        assert wrong == []
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 10**9).flatmap(lambda total: st.tuples(st.integers(0, total), st.just(total))))
+    def test_equals_decimal_half_up_up_to_a_billion(self, share):
+        part, total = share
+        assert percent(part, total) == self.reference(part, total)
