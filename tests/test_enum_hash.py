@@ -11,6 +11,8 @@ import dataclasses
 import enum
 import random
 
+import pytest
+
 from qcosmic import (
     DedupMode,
     RenderOptions,
@@ -55,10 +57,9 @@ def _stages(model) -> dict:
     return stages
 
 
-def test_no_python_level_enum_hash_after_parsing(monkeypatch):
-    models = _models()
-    assert all(not has_errors(validate(dataclasses.replace(m))) for m in models)
-    staged = [_stages(model) for model in models]
+@pytest.fixture
+def enum_hashes(monkeypatch) -> list[int]:
+    """``[calls]``: calls of ``enum.Enum.__hash__`` while the test runs."""
     calls = [0]
     original = enum.Enum.__hash__
 
@@ -67,29 +68,25 @@ def test_no_python_level_enum_hash_after_parsing(monkeypatch):
         return original(self)
 
     monkeypatch.setattr(enum.Enum, "__hash__", counted)
+    return calls
+
+
+def test_no_python_level_enum_hash_after_parsing(enum_hashes):
+    models = _models()
+    assert all(not has_errors(validate(dataclasses.replace(m))) for m in models)
     counts: dict[str, int] = {}
-    for stages in staged:
-        for name, run in stages.items():
-            calls[0] = 0
+    for model in models:
+        for name, run in _stages(model).items():
+            enum_hashes[0] = 0
             run()
             key = name.split(" scope")[0]
-            counts[key] = counts.get(key, 0) + calls[0]
-    monkeypatch.undo()
+            counts[key] = counts.get(key, 0) + enum_hashes[0]
     assert counts == dict.fromkeys(counts, 0)
 
 
-def test_the_counter_sees_python_level_hashing(monkeypatch):
+def test_the_counter_sees_python_level_hashing(enum_hashes):
     class Plain(enum.Enum):
         A = "a"
 
-    calls = [0]
-    original = enum.Enum.__hash__
-
-    def counted(self):
-        calls[0] += 1
-        return original(self)
-
-    monkeypatch.setattr(enum.Enum, "__hash__", counted)
     {Plain.A}
-    monkeypatch.undo()
-    assert calls[0] == 1
+    assert enum_hashes[0] == 1
