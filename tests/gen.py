@@ -37,9 +37,12 @@ _WORDS = (
 _ODD_CHARS = ('"', "\\", "\n", "\t", "é", "☼", "//", "  ")
 
 
-def _name(rng: random.Random, prefix: str, taken: set[str], odd: bool = True) -> str:
+def _name(rng: random.Random, prefix: str, taken: set[str], odd: bool, short: bool) -> str:
     while True:
-        name = f"{prefix} {rng.choice(_WORDS)} {rng.randrange(100)}"
+        if short:
+            name = f"{prefix[0]}{rng.randrange(100)}"
+        else:
+            name = f"{prefix} {rng.choice(_WORDS)} {rng.randrange(100)}"
         if odd and rng.random() < 0.12:
             pos = rng.randrange(len(name))
             name = name[:pos] + rng.choice(_ODD_CHARS) + name[pos:]
@@ -55,38 +58,47 @@ def random_model(
     max_movements: int = 8,
     allow_quantum: bool = True,
     odd_names: bool = True,
+    short_names: bool = False,
 ) -> Model:
-    """Build a random model that validates cleanly."""
+    """Build a random model that validates cleanly.
+
+    Names are a kind, a word and a number, such as "proc ledger 42", and
+    now and then hold a character that needs escaping (``odd_names``);
+    ``short_names`` makes them the kind's initial and a number, such as "p42".
+    """
     quantum_mode = allow_quantum and rng.random() < 0.7
     taken: set[str] = set()
+
+    def fresh(prefix: str) -> str:
+        return _name(rng, prefix, taken, odd_names, short_names)
 
     if quantum_mode:
         layer_count = rng.randint(2, 3)
         natures = [Nature.CLASSICAL, Nature.QUANTUM]
         natures += [rng.choice((Nature.CLASSICAL, Nature.QUANTUM))] * (layer_count - 2)
         rng.shuffle(natures)
-        layers = [Layer(_name(rng, "layer", taken, odd_names), n) for n in natures]
+        layers = [Layer(fresh("layer"), n) for n in natures]
     else:
         layers = [
-            Layer(_name(rng, "layer", taken, odd_names), Nature.CLASSICAL)
+            Layer(fresh("layer"), Nature.CLASSICAL)
             for _ in range(rng.randint(1, 3))
         ]
 
     users = [
         FunctionalUser(
-            _name(rng, "user", taken, odd_names),
+            fresh("user"),
             Nature.QUANTUM if quantum_mode and rng.random() < 0.4 else Nature.CLASSICAL,
         )
         for _ in range(rng.randint(1, 3))
     ]
 
     storages = [
-        PersistentStorage(_name(rng, "store", taken, odd_names), Nature.CLASSICAL)
+        PersistentStorage(fresh("store"), Nature.CLASSICAL)
         for _ in range(rng.randint(0, 2))
     ]
     if quantum_mode:
         storages += [
-            PersistentStorage(_name(rng, "qstore", taken, odd_names), Nature.QUANTUM)
+            PersistentStorage(fresh("qstore"), Nature.QUANTUM)
             for _ in range(rng.randint(0, 2))
         ]
 
@@ -99,9 +111,9 @@ def random_model(
         )
         if quantum_group:
             attrs += (Attribute("state_q", Nature.QUANTUM),)
-        groups.append(DataGroup(_name(rng, "group", taken, odd_names), attrs))
+        groups.append(DataGroup(fresh("group"), attrs))
     if all(g.attributes and g.attributes[-1].nature is Nature.QUANTUM for g in groups):
-        groups.append(DataGroup(_name(rng, "group", taken, odd_names), ()))
+        groups.append(DataGroup(fresh("group"), ()))
 
     classical_groups = [g for g in groups if not any(a.nature is Nature.QUANTUM for a in g.attributes)]
     quantum_groups = [g for g in groups if any(a.nature is Nature.QUANTUM for a in g.attributes)]
@@ -113,7 +125,7 @@ def random_model(
     quantum_users = [u for u in users if u.nature is Nature.QUANTUM]
 
     process_names = [
-        _name(rng, "proc", taken, odd_names) for _ in range(rng.randint(1, max_processes))
+        fresh("proc") for _ in range(rng.randint(1, max_processes))
     ]
     process_layers = [rng.choice(layers) for _ in process_names]
     classical_processes = [
@@ -226,7 +238,7 @@ def random_model(
         processes.append(FunctionalProcess(name, layer.name, tuple(movements), uses))
 
     return Model(
-        name=_name(rng, "system", taken, odd_names),
+        name=fresh("system"),
         purpose=rng.choice(("", "generated model for property testing")),
         scope=rng.choice(("", "all generated functional processes")),
         layers=tuple(layers),
@@ -246,6 +258,115 @@ def inject_duplicate(model: Model, process_index: int, movement_index: int) -> M
         patched if i == process_index else p for i, p in enumerate(model.processes)
     )
     return dataclasses.replace(model, processes=processes)
+
+
+def _with_process(model: Model, index: int, process: FunctionalProcess) -> Model:
+    processes = model.processes[:index] + (process,) + model.processes[index + 1:]
+    return dataclasses.replace(model, processes=processes)
+
+
+_MIRRORS = {
+    MovementKind.E: MovementKind.X, MovementKind.X: MovementKind.E,
+    MovementKind.QE: MovementKind.QX, MovementKind.QX: MovementKind.QE,
+}
+
+_DECLARED = {
+    EndpointKind.USER: "users", EndpointKind.STORAGE: "storages",
+    EndpointKind.PROCESS: "processes", EndpointKind.LAYER: "layers",
+}
+
+_PERTURBATIONS = ("kind", "counterpart", "conversion", "mirror", "empty", "duplicate", "cycle")
+
+
+def _perturb(rng: random.Random, model: Model) -> Model:
+    """One edit that may break a rule; see perturbed_models."""
+    edit = rng.choice(_PERTURBATIONS)
+    index = rng.randrange(len(model.processes))
+    process = model.processes[index]
+    if edit == "empty":
+        return _with_process(model, index, dataclasses.replace(process, movements=()))
+    if edit == "cycle":
+        # a uses edge back along an existing one closes a cycle; else use oneself
+        position = {p.name: i for i, p in enumerate(model.processes)}
+        back = [(position[name], p.name) for p in model.processes for name in p.uses]
+        if back and rng.random() < 0.7:
+            index, name = rng.choice(back)
+            process = model.processes[index]
+        else:
+            name = process.name
+        return _with_process(model, index, dataclasses.replace(process, uses=process.uses + (name,)))
+    if not process.movements:
+        return model
+    at = rng.randrange(len(process.movements))
+    movement = process.movements[at]
+    if edit == "duplicate":
+        return inject_duplicate(model, index, at)
+    if edit == "mirror":
+        # the same flow declared again from the other process, which R8 rejects
+        # unless the kind drawn does not mirror this one
+        other = rng.randrange(len(model.processes))
+        target = model.processes[other]
+        kind = _MIRRORS.get(movement.kind) if rng.random() < 0.7 else None
+        mirrored = DataMovement(
+            kind or rng.choice(tuple(_MIRRORS)),
+            movement.data_group,
+            Endpoint(EndpointKind.PROCESS, process.name),
+            rng.choice((Conversion.NONE, movement.conversion)),
+        )
+        moved = dataclasses.replace(movement, counterpart=Endpoint(EndpointKind.PROCESS, target.name))
+        movements = process.movements[:at] + (moved,) + process.movements[at + 1:]
+        model = _with_process(model, index, dataclasses.replace(process, movements=movements))
+        target = model.processes[other]
+        return _with_process(
+            model, other, dataclasses.replace(target, movements=target.movements + (mirrored,))
+        )
+    if edit == "kind":
+        moved = dataclasses.replace(movement, kind=rng.choice(tuple(MovementKind)))
+    elif edit == "conversion":
+        moved = dataclasses.replace(movement, conversion=rng.choice(tuple(Conversion)))
+    else:
+        kind = rng.choice(tuple(EndpointKind))
+        names = [d.name for d in getattr(model, _DECLARED[kind])]
+        # now and then a name that is not declared, so validate raises
+        name = rng.choice(names) if names and rng.random() < 0.95 else "nope"
+        moved = dataclasses.replace(movement, counterpart=Endpoint(kind, name))
+    movements = process.movements[:at] + (moved,) + process.movements[at + 1:]
+    return _with_process(model, index, dataclasses.replace(process, movements=movements))
+
+
+def _moved_only(model: Model) -> Model:
+    moved = [m for p in model.processes for m in p.movements]
+    groups = {m.data_group for m in moved}
+    stored = {m.counterpart.name for m in moved if m.counterpart.kind is EndpointKind.STORAGE}
+    return dataclasses.replace(
+        model,
+        data_groups=tuple(g for g in model.data_groups if g.name in groups),
+        storages=tuple(s for s in model.storages if s.name in stored),
+    )
+
+
+def perturbed_models(seed: int, count: int) -> list[Model]:
+    """``count`` small random models, each after 1-3 edits that may break a rule.
+
+    An edit changes a movement's kind, counterpart or conversion; mirrors a
+    movement into another process as E, X, QE or QX (R8); empties a
+    process's movements (P1); duplicates a movement; or adds a uses edge
+    that closes a cycle (R9). A changed counterpart now and then names an
+    undeclared element, so the catalog's unresolved-reference path runs too.
+    Before the edits, a model declares only the data groups and storages it
+    moves, so P2 reports what the edits left unmoved. The models carry no
+    spans, and their names are short.
+    """
+    rng = random.Random(seed)
+    models = []
+    for _ in range(count):
+        model = _moved_only(random_model(
+            rng, max_processes=4, max_movements=8, odd_names=False, short_names=True
+        ))
+        for _ in range(rng.randint(1, 3)):
+            model = _perturb(rng, model)
+        models.append(model)
+    return models
 
 
 #: What dangling_model can leave undeclared: a data group, or a counterpart of each kind.

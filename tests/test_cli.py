@@ -88,6 +88,19 @@ class TestExitCodes:
         assert out == ""
         assert err == "qcosmic: internal error: RuntimeError: lexer fell over\n"
 
+    @pytest.mark.parametrize("command, target", [
+        ("measure", "missing/r.txt"),  # a directory that does not exist
+        ("diagram", ""),  # the directory itself
+        ("fmt", "missing/m.qcm"),
+    ])
+    def test_unwritable_output_exits_three(self, capsys, tmp_path, command, target):
+        output = tmp_path / target
+        code, out, err = run(capsys, command, fixture("factoring.qcm"), "-o", str(output))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("qcosmic: ")
+        assert len(err.splitlines()) == 1
+
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "measure", fixture("factoring.qcm"), "--bogus")
         assert code == 3

@@ -24,6 +24,7 @@ from qcosmic import (
     Nature,
     PersistentStorage,
     RenderOptions,
+    Span,
     UnresolvedReferenceError,
     data_group_nature,
     measure_system,
@@ -152,6 +153,13 @@ class TestSystemNature:
         )
         assert system_nature(model) is Q
         assert system_nature(model) is brute_force_system_nature(model)
+
+    def test_a_conversion_alone_makes_the_system_quantum(self):
+        # every declaration is classical; only the movement's 'via prepare' is
+        # quantum, so the system lacks a quantum layer
+        model = small_model(kind=MovementKind.QE, conversion=Conversion.PREPARE)
+        assert system_nature(model) is Q
+        assert [d.code for d in validate(model)] == ["R1", "R5"]
 
     def test_agrees_with_brute_force_over_corpus(self):
         rng = random.Random(12)
@@ -325,3 +333,9 @@ def test_nature_derivation_is_monotone():
                 assert process_nature(process, flipped) is Q
         if before_system is Q:
             assert system_nature(flipped) is Q
+
+
+@pytest.mark.parametrize("line, column, length", [(0, 1, 0), (1, 0, 0), (1, 1, -1)])
+def test_span_rejects_positions_before_the_start(line, column, length):
+    with pytest.raises(ValueError, match="invalid span"):
+        Span("m.qcm", line, column, length)

@@ -55,6 +55,13 @@ def check_fixture(name: str):
     return validate(result.model)
 
 
+def errors(text: str) -> list[tuple[str, str]]:
+    """(code, message) of each error that validate reports on ``text``."""
+    model = parse_model(text).model
+    assert model is not None
+    return [(d.code, d.message) for d in validate(model) if d.severity is Severity.ERROR]
+
+
 class TestTriggers:
     @pytest.mark.parametrize("code", ERROR_RULES)
     def test_error_rule_triggers_exactly(self, code):
@@ -91,6 +98,25 @@ class TestRuleDetails:
         model = parse_model(text).model
         errors = [d for d in validate(model) if d.code == "R1"]
         assert len(errors) == 1
+
+    def test_r2_rejects_entry_from_storage(self):
+        text = (
+            'system "S" { layer classical "L" storage classical "D" datagroup "g" { } '
+            'process "P" in layer "L" { entry "g" from storage "D" } }'
+        )
+        assert errors(text) == [
+            ("R2", 'entry "g" from storage "D": entry and exit movements cannot target storage')
+        ]
+
+    def test_r3_rejects_quantum_kind_on_classical_storage(self):
+        text = (
+            'system "S" { layer classical "C" layer quantum "Q" storage classical "D" '
+            'datagroup "g" { attr s: quantum } '
+            'process "P" in layer "Q" { qread "g" from storage "D" } }'
+        )
+        assert errors(text) == [
+            ("R3", 'qread "g" from storage "D": classical storage accepts only read/write')
+        ]
 
     def test_r4_message_names_the_counterpart(self):
         diagnostics = check_fixture("bad_r4.qcm")
@@ -129,6 +155,17 @@ class TestRuleDetails:
     def test_r8_reports_the_pair_once(self):
         diagnostics = check_fixture("bad_r8.qcm")
         assert sum(1 for d in diagnostics if d.code == "R8") == 1
+
+    def test_r8_ignores_a_read_from_a_process(self):
+        # the read is R2's concern; it declares no flow, so the exit stays single
+        text = (
+            'system "S" { layer classical "L" datagroup "g" { } '
+            'process "A" in layer "L" { exit "g" to process "B" } '
+            'process "B" in layer "L" { read "g" from process "A" } }'
+        )
+        assert errors(text) == [
+            ("R2", 'read "g" from process "A": read and write movements must target storage')
+        ]
 
     def test_r9_reports_each_cycle_once_with_the_chain(self):
         diagnostics = check_fixture("bad_r9.qcm")
