@@ -19,6 +19,12 @@ findings are warnings and never change measured size.
   P2  data group or storage is never referenced by a movement          WARNING
   P3  purely classical model; size coincides with COSMIC CFPv5         WARNING
 
+The catalog runs in three steps, all appending to one list of findings,
+which is then sorted: R1 and P3 from the system's nature; one sweep over
+the processes and their movements, which applies P1 to each process and
+R2-R8 to each movement and collects what P2 reports after it; and R9 from
+the cycles of the uses graph.
+
 Codes are stable across releases. Every rule is a pure function of the
 model, so identical models always yield the identical diagnostic sequence.
 """
@@ -31,10 +37,7 @@ from .diagnostics import Diagnostic, error, sort_key, warning
 from .formatter import format_movement
 from .model import (
     Conversion,
-    DataMovement,
     EndpointKind,
-    FunctionalProcess,
-    Layer,
     Model,
     MovementKind,
     Nature,
@@ -59,148 +62,143 @@ def validate(model: Model) -> list[Diagnostic]:
 
 
 def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
-    diagnostics: list[Diagnostic] = []
-    for rule in (_rule_r1, _rule_movements, _rule_r8, _rule_r9, _rule_p1, _rule_p2, _rule_p3):
-        diagnostics.extend(rule(model))
-    diagnostics.sort(key=sort_key)
-    return tuple(diagnostics)
-
-
-def _movements(model: Model) -> Iterator[tuple[FunctionalProcess, DataMovement]]:
-    for process in model.processes:
-        for movement in process.movements:
-            yield process, movement
-
-
-# -- structural rules -------------------------------------------------------
-
-
-def _rule_r1(model: Model) -> Iterator[Diagnostic]:
-    if system_nature(model) is not Nature.QUANTUM:
-        return
-    natures = {layer.nature for layer in model.layers}
-    if Nature.CLASSICAL not in natures or Nature.QUANTUM not in natures:
-        yield error(
-            "R1",
-            "a quantum software system requires at least one classical and one quantum layer",
-            model.name,
-        )
-
-
-def _rule_movements(model: Model) -> Iterator[Diagnostic]:
-    """R2-R7 in one sweep: each movement's findings, in code order."""
-    for process in model.processes:
-        layer, groups, counterparts = _resolution(process, model)
-        for movement, group, (counterpart, _) in zip(process.movements, groups, counterparts):
-            for code, message in _movement_findings(movement, layer, group, counterpart):
-                yield error(
-                    code, f"{format_movement(movement)}: {message}", process.name, movement.span
-                )
-
-
-def _movement_findings(
-    movement: DataMovement, layer: Layer, group: Nature, counterpart: Nature
-) -> Iterator[tuple[str, str]]:
-    kind, cp, conversion = movement.kind, movement.counterpart, movement.conversion
-    quantum_kind = kind in QUANTUM_KINDS
-    to_storage = cp.kind is EndpointKind.STORAGE
-    storage_kind = kind in STORAGE_KINDS
-    # R2: read/write target storage, entry/exit do not. R3 (storage nature
-    # matches the kind family) applies once R2 holds.
-    if storage_kind and not to_storage:
-        yield "R2", "read and write movements must target storage"
-    elif not storage_kind and to_storage:
-        yield "R2", "entry and exit movements cannot target storage"
-    elif to_storage and counterpart is Nature.QUANTUM and not quantum_kind:
-        yield "R3", "quantum storage accepts only qread/qwrite"
-    elif to_storage and counterpart is Nature.CLASSICAL and quantum_kind:
-        yield "R3", "classical storage accepts only read/write"
-    # R4: classical structures may only exchange classical payloads. A
-    # quantum movement without a conversion is quantum end to end, so
-    # neither its counterpart nor its owning layer may be classical.
-    # Storage counterparts are R3's concern.
-    if quantum_kind and conversion is Conversion.NONE:
-        if layer.nature is Nature.CLASSICAL:
-            yield "R4", f"quantum data handled inside classical layer {layer.name!r}"
-        if not to_storage and counterpart is Nature.CLASSICAL:
-            yield "R4", (
-                f"classical {cp.kind.value} {cp.name!r} "
-                "cannot exchange quantum data without a conversion"
-            )
-    # R5: prepare only on a qentry, measure only on a qexit, both in a
-    # quantum-layer process facing a classical counterpart.
-    if conversion is not Conversion.NONE:
-        word = conversion.value
-        required = MovementKind.QE if conversion is Conversion.PREPARE else MovementKind.QX
-        if kind is not required:
-            yield "R5", (
-                f"'via {word}' is only legal on "
-                f"{'qentry' if required is MovementKind.QE else 'qexit'} movements"
-            )
-        elif layer.nature is not Nature.QUANTUM:
-            yield "R5", "conversion crossings belong to a process in a quantum layer"
-        elif counterpart is not Nature.CLASSICAL:
-            yield "R5", (
-                f"'via {word}' crosses from or to a classical element, "
-                "but the counterpart is quantum"
-            )
-    # R6/R7: a quantum group moves only via quantum kinds; a classical group
-    # moves via a quantum kind only when the payload starts or ends
-    # classical by design (a conversion).
-    if group is Nature.QUANTUM and not quantum_kind:
-        yield "R6", f"quantum data group {movement.data_group!r} requires a quantum movement kind"
-    elif group is Nature.CLASSICAL and quantum_kind and conversion is Conversion.NONE:
-        yield "R7", (
-            f"classical data group {movement.data_group!r} moves via "
-            "a quantum kind but never converts"
-        )
-
-
-_MIRROR_SENDS = {MovementKind.X: False, MovementKind.QX: True}
-_MIRROR_RECEIVES = {MovementKind.E: False, MovementKind.QE: True}
-
-
-def _rule_r8(model: Model) -> Iterator[Diagnostic]:
-    # A flow between two processes is identified by (sender, receiver,
-    # group, quantum?). Declaring it as an exit in the sender and again as
-    # an entry in the receiver would double-count one movement.
-    seen: dict[tuple[str, str, str, bool], dict[str, tuple[FunctionalProcess, DataMovement]]] = {}
-    for process, movement in _movements(model):
-        if movement.counterpart.kind is not EndpointKind.PROCESS:
-            continue
-        if movement.kind in _MIRROR_SENDS:
-            flow = (process.name, movement.counterpart.name, movement.data_group,
-                    _MIRROR_SENDS[movement.kind])
-            style = "send"
-        elif movement.kind in _MIRROR_RECEIVES:
-            flow = (movement.counterpart.name, process.name, movement.data_group,
-                    _MIRROR_RECEIVES[movement.kind])
-            style = "receive"
-        else:
-            continue
-        declared = seen.setdefault(flow, {})
-        other = "receive" if style == "send" else "send"
-        if other in declared and style not in declared:
-            owner, _ = declared[other]
-            yield error(
-                "R8",
-                f"{format_movement(movement)}: this flow is already declared in process "
-                f"{owner.name!r}; declare each inter-process movement exactly once",
-                process.name,
-                movement.span,
-            )
-        declared.setdefault(style, (process, movement))
-
-
-def _rule_r9(model: Model) -> Iterator[Diagnostic]:
+    found: list[Diagnostic] = []
+    if system_nature(model) is Nature.QUANTUM:
+        natures = {layer.nature for layer in model.layers}
+        if Nature.CLASSICAL not in natures or Nature.QUANTUM not in natures:
+            found.append(error(
+                "R1",
+                "a quantum software system requires at least one classical and one quantum layer",
+                model.name,
+            ))
+    else:
+        found.append(warning(
+            "P3", "model is purely classical; QCFP size is CFPv5-equivalent", model.name
+        ))
+    _sweep(model, found)
     for cycle in _cycles(model):
         chain = " -> ".join(cycle + (cycle[0],))
-        yield error(
-            "R9",
-            f"cyclic uses chain: {chain}",
-            cycle[0],
-            model.process(cycle[0]).span,
-        )
+        span = model.process(cycle[0]).span
+        found.append(error("R9", f"cyclic uses chain: {chain}", cycle[0], span))
+    found.sort(key=sort_key)
+    return tuple(found)
+
+
+def _sweep(model: Model, found: list[Diagnostic]) -> None:
+    """P1 per process and R2-R8 per movement, each read once; then P2."""
+    # R8: a flow between two processes is identified by (sender, receiver,
+    # group, quantum?). Declaring it as an exit in the sender and again as an
+    # entry in the receiver would double-count one movement. Each flow keeps
+    # the side (sends?) and owner of its first declaration; the first
+    # declaration from the other side is reported, once per flow.
+    first: dict[tuple[str, str, str, bool], tuple[bool, str]] = {}
+    reported: set[tuple[str, str, str, bool]] = set()
+    # P2: layers and users are strategy-phase declarations and may
+    # legitimately go unreferenced; data groups and storages exist only to
+    # be moved.
+    moved_groups: set[str] = set()
+    moved_storages: set[str] = set()
+
+    def report(code: str, message: str) -> None:
+        """An error on the movement the sweep is at."""
+        found.append(error(
+            code, f"{format_movement(movement)}: {message}", process.name, movement.span
+        ))
+
+    for process in model.processes:
+        layer, groups, counterparts = _resolution(process, model)
+        if not process.movements:
+            found.append(warning(
+                "P1",
+                "process declares no data movements and is not measurable",
+                process.name,
+                process.span,
+            ))
+        for movement, group, (counterpart, _) in zip(process.movements, groups, counterparts):
+            kind, cp, conversion = movement.kind, movement.counterpart, movement.conversion
+            quantum_kind = kind in QUANTUM_KINDS
+            to_storage = cp.kind is EndpointKind.STORAGE
+            storage_kind = kind in STORAGE_KINDS
+            # R2: read/write target storage, entry/exit do not. R3 (storage
+            # nature matches the kind family) applies once R2 holds.
+            if storage_kind and not to_storage:
+                report("R2", "read and write movements must target storage")
+            elif not storage_kind and to_storage:
+                report("R2", "entry and exit movements cannot target storage")
+            elif to_storage and counterpart is Nature.QUANTUM and not quantum_kind:
+                report("R3", "quantum storage accepts only qread/qwrite")
+            elif to_storage and counterpart is Nature.CLASSICAL and quantum_kind:
+                report("R3", "classical storage accepts only read/write")
+            # R4: classical structures may only exchange classical payloads.
+            # A quantum movement without a conversion is quantum end to end,
+            # so neither its counterpart nor its owning layer may be
+            # classical. Storage counterparts are R3's concern.
+            if quantum_kind and conversion is Conversion.NONE:
+                if layer.nature is Nature.CLASSICAL:
+                    report("R4", f"quantum data handled inside classical layer {layer.name!r}")
+                if not to_storage and counterpart is Nature.CLASSICAL:
+                    report("R4", (
+                        f"classical {cp.kind.value} {cp.name!r} "
+                        "cannot exchange quantum data without a conversion"
+                    ))
+            # R5: prepare only on a qentry, measure only on a qexit, both in
+            # a quantum-layer process facing a classical counterpart.
+            if conversion is not Conversion.NONE:
+                word = conversion.value
+                required = MovementKind.QE if conversion is Conversion.PREPARE else MovementKind.QX
+                if kind is not required:
+                    report("R5", (
+                        f"'via {word}' is only legal on "
+                        f"{'qentry' if required is MovementKind.QE else 'qexit'} movements"
+                    ))
+                elif layer.nature is not Nature.QUANTUM:
+                    report("R5", "conversion crossings belong to a process in a quantum layer")
+                elif counterpart is not Nature.CLASSICAL:
+                    report("R5", (
+                        f"'via {word}' crosses from or to a classical element, "
+                        "but the counterpart is quantum"
+                    ))
+            # R6/R7: a quantum group moves only via quantum kinds; a classical
+            # group moves via a quantum kind only when the payload starts or
+            # ends classical by design (a conversion).
+            if group is Nature.QUANTUM and not quantum_kind:
+                report("R6", (
+                    f"quantum data group {movement.data_group!r} requires a quantum movement kind"
+                ))
+            elif group is Nature.CLASSICAL and quantum_kind and conversion is Conversion.NONE:
+                report("R7", (
+                    f"classical data group {movement.data_group!r} moves via "
+                    "a quantum kind but never converts"
+                ))
+            moved_groups.add(movement.data_group)
+            if to_storage:
+                moved_storages.add(cp.name)
+            # R8 reads only entries and exits between processes
+            if cp.kind is not EndpointKind.PROCESS or storage_kind:
+                continue
+            sends = kind is MovementKind.X or kind is MovementKind.QX
+            if sends:
+                flow = (process.name, cp.name, movement.data_group, kind is MovementKind.QX)
+            else:
+                flow = (cp.name, process.name, movement.data_group, kind is MovementKind.QE)
+            side = first.get(flow)
+            if side is None:
+                first[flow] = sends, process.name
+            elif side[0] is not sends and flow not in reported:
+                reported.add(flow)
+                report("R8", (
+                    f"this flow is already declared in process {side[1]!r}; "
+                    "declare each inter-process movement exactly once"
+                ))
+
+    for group in model.data_groups:
+        if group.name not in moved_groups:
+            found.append(warning("P2", "data group is never moved", group.name, group.span))
+    for storage in model.storages:
+        if storage.name not in moved_storages:
+            found.append(
+                warning("P2", "storage is never read or written", storage.name, storage.span)
+            )
 
 
 def _cycles(model: Model) -> list[tuple[str, ...]]:
@@ -261,42 +259,3 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
             cycles.append(tuple(sorted(component, key=position.__getitem__)))
     cycles.sort(key=lambda c: position[c[0]])
     return cycles
-
-
-# -- hygiene rules ----------------------------------------------------------
-
-
-def _rule_p1(model: Model) -> Iterator[Diagnostic]:
-    for process in model.processes:
-        if not process.movements:
-            yield warning(
-                "P1",
-                "process declares no data movements and is not measurable",
-                process.name,
-                process.span,
-            )
-
-
-def _rule_p2(model: Model) -> Iterator[Diagnostic]:
-    # Layers and users are strategy-phase declarations and may legitimately
-    # go unreferenced; data groups and storages exist only to be moved.
-    moved = [m for process in model.processes for m in process.movements]
-    used_groups = {m.data_group for m in moved}
-    used_storages = {
-        m.counterpart.name for m in moved if m.counterpart.kind is EndpointKind.STORAGE
-    }
-    for group in model.data_groups:
-        if group.name not in used_groups:
-            yield warning("P2", "data group is never moved", group.name, group.span)
-    for storage in model.storages:
-        if storage.name not in used_storages:
-            yield warning("P2", "storage is never read or written", storage.name, storage.span)
-
-
-def _rule_p3(model: Model) -> Iterator[Diagnostic]:
-    if system_nature(model) is Nature.CLASSICAL:
-        yield warning(
-            "P3",
-            "model is purely classical; QCFP size is CFPv5-equivalent",
-            model.name,
-        )

@@ -302,15 +302,15 @@ class TestInvariants:
 
 
 def count_catalog_runs(monkeypatch) -> list:
-    """Record each run of the rule catalog through one of its rules."""
+    """Record each run of the rule catalog through R9's one call of _cycles."""
     runs = []
-    original = rules._rule_r9
+    original = rules._cycles
 
     def counted(model):
         runs.append(model)
         return original(model)
 
-    monkeypatch.setattr(rules, "_rule_r9", counted)
+    monkeypatch.setattr(rules, "_cycles", counted)
     return runs
 
 
