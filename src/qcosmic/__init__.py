@@ -16,8 +16,6 @@ from .measure import (
     ProcessMeasure,
     Totals,
     UnvalidatedModelError,
-    measure_layer,
-    measure_process,
     measure_system,
     unique_movements,
 )
@@ -37,7 +35,6 @@ from .model import (
     PersistentStorage,
     UnresolvedReferenceError,
     data_group_nature,
-    movement_is_quantum,
     process_nature,
     system_nature,
 )
@@ -76,10 +73,7 @@ __all__ = [
     "UnvalidatedModelError",
     "data_group_nature",
     "format_model",
-    "measure_layer",
-    "measure_process",
     "measure_system",
-    "movement_is_quantum",
     "parse_model",
     "process_nature",
     "render_csv",

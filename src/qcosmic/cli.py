@@ -7,6 +7,7 @@ Exit codes are stable for CI use:
   2  parse or lexical failure
   3  usage or I/O error, including input that is not valid UTF-8
   4  internal error: a fault in qcosmic itself, never reported as 0 or 1
+  130  interrupted (Ctrl-C), reported as one line on stderr
 
 Reports go to stdout (or the ``-o`` file); diagnostics go to stderr. The
 two streams never carry each other's content. A report on stdout is UTF-8,
@@ -34,6 +35,7 @@ EXIT_VALIDATION = 1
 EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 class _UsageError(Exception):
@@ -199,6 +201,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"qcosmic: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except KeyboardInterrupt:
+        print("qcosmic: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except Exception as exc:
         # CI reads 0 as clean and 1 as validation errors; a fault in qcosmic
         # must not pass for either, nor end in a traceback

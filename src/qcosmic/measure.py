@@ -29,7 +29,6 @@ from .model import (
     DataMovement,
     FunctionalProcess,
     KIND_ORDER,
-    Layer,
     Model,
     MovementKind,
     Nature,
@@ -47,8 +46,6 @@ __all__ = [
     "ProcessMeasure",
     "Totals",
     "UnvalidatedModelError",
-    "measure_layer",
-    "measure_process",
     "measure_system",
     "unique_movements",
 ]
@@ -93,40 +90,6 @@ def unique_movements(
 ) -> list[DataMovement]:
     """The countable movements of a process, first occurrence order."""
     return [process.movements[i] for i in _first_occurrences(process, dedup)]
-
-
-def measure_process(process: FunctionalProcess, dedup: DedupMode = DedupMode.ENDPOINT) -> int:
-    """QCFP of one process: every unique movement contributes exactly 1."""
-    return len(unique_movements(process, dedup))
-
-
-def measure_layer(layer: Layer, model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> int:
-    """QCFP attributed to one layer across all processes; does not validate."""
-    return _count(model, dedup)[1].get(layer.name, 0)
-
-
-def _count(model: Model, dedup: DedupMode):
-    """The one counting pass: per process (process, unique count, kind
-    tally), QCFP per layer name, and the quantum QCFP."""
-    per_process = []
-    layer_totals: dict[str, int] = {layer.name: 0 for layer in model.layers}
-    quantum_qcfp = 0
-    for process in model.processes:
-        layer, _, counterparts = _resolution(process, model)
-        unique = _first_occurrences(process, dedup)
-        tally = {kind: 0 for kind in KIND_ORDER}
-        for position in unique:
-            kind = process.movements[position].kind
-            far = counterparts[position][1]
-            tally[kind] += 1
-            charged = layer  # the per-layer rule of the module docstring
-            if kind in QUANTUM_KINDS:
-                quantum_qcfp += 1
-            elif layer.nature is Nature.QUANTUM and far is not None and far.nature is Nature.CLASSICAL:
-                charged = far
-            layer_totals[charged.name] += 1
-        per_process.append((process, len(unique), tally))
-    return per_process, layer_totals, quantum_qcfp
 
 
 @dataclass(frozen=True)
@@ -182,11 +145,25 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
     if has_errors(diagnostics):
         raise UnvalidatedModelError(diagnostics)
 
-    counted, layer_totals, quantum_qcfp = _count(model, dedup)
-    per_process = tuple(
-        ProcessMeasure(process.name, process.layer, process_nature(process, model), qcfp, tally)
-        for process, qcfp, tally in counted
-    )
+    per_process = []
+    layer_totals: dict[str, int] = {layer.name: 0 for layer in model.layers}
+    quantum_qcfp = 0
+    for process in model.processes:
+        layer, _, counterparts = _resolution(process, model)
+        unique = _first_occurrences(process, dedup)
+        tally = {kind: 0 for kind in KIND_ORDER}
+        for position in unique:
+            kind = process.movements[position].kind
+            far = counterparts[position][1]
+            tally[kind] += 1
+            charged = layer  # the per-layer rule of the module docstring
+            if kind in QUANTUM_KINDS:
+                quantum_qcfp += 1
+            elif layer.nature is Nature.QUANTUM and far is not None and far.nature is Nature.CLASSICAL:
+                charged = far
+            layer_totals[charged.name] += 1
+        nature = process_nature(process, model)
+        per_process.append(ProcessMeasure(process.name, process.layer, nature, len(unique), tally))
     total_qcfp = sum(p.qcfp for p in per_process)
     classical_qcfp = total_qcfp - quantum_qcfp
     per_layer = tuple(
@@ -195,7 +172,7 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
     )
     return MeasurementReport(
         system_name=model.name,
-        per_process=per_process,
+        per_process=tuple(per_process),
         per_layer=per_layer,
         totals=Totals(
             total_qcfp=total_qcfp,

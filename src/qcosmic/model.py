@@ -49,7 +49,6 @@ __all__ = [
     "PersistentStorage",
     "UnresolvedReferenceError",
     "data_group_nature",
-    "movement_is_quantum",
     "process_nature",
     "system_nature",
 ]
@@ -247,11 +246,6 @@ class Model:
 
     def process(self, name: str) -> FunctionalProcess:
         return self._lookup("process", name)
-
-
-def movement_is_quantum(kind: MovementKind) -> bool:
-    """True for QE/QX/QR/QW, false for the four classical kinds."""
-    return kind in QUANTUM_KINDS
 
 
 def data_group_nature(group: DataGroup) -> Nature:

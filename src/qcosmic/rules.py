@@ -31,7 +31,7 @@ model, so identical models always yield the identical diagnostic sequence.
 
 from __future__ import annotations
 
-from typing import Iterator
+from collections.abc import Iterator
 
 from .diagnostics import Diagnostic, error, sort_key, warning
 from .formatter import format_movement

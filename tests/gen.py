@@ -141,10 +141,6 @@ def random_model(
     # (sender, receiver, group, quantum?) -> {"send", "receive"}
     flows: dict[tuple[str, str, str, bool], set[str]] = {}
 
-    def pick_endpoint(kinds: list) -> Endpoint | None:
-        options = [k for k in kinds if k is not None]
-        return rng.choice(options) if options else None
-
     def classical_counterpart(owner: str) -> Endpoint | None:
         choices: list[Endpoint] = [Endpoint(EndpointKind.USER, u.name) for u in classical_users]
         choices += [Endpoint(EndpointKind.LAYER, l.name) for l in classical_layers]

@@ -14,7 +14,6 @@ from qcosmic import (
     DedupMode,
     Severity,
     format_model,
-    measure_layer,
     measure_system,
     parse_model,
     validate,
@@ -54,9 +53,10 @@ def test_criterion_1_worked_example_reproduction():
         assert uc2.qcfp == 4
         assert {k.value: v for k, v in uc2.tally.items() if v} == {"E": 2, "X": 2}
 
-        assert measure_layer(model.layer("Quantum"), model) == 2
+        assert {l.name: l.qcfp for l in report.per_layer} == {"Classical": 8, "Quantum": 2}
         uc1_only = dataclasses.replace(model, processes=(model.process(uc1.name),))
-        assert measure_layer(uc1_only.layer("Classical"), uc1_only) == 4
+        uc1_layers = measure_system(uc1_only).per_layer
+        assert {l.name: l.qcfp for l in uc1_layers}["Classical"] == 4
 
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.3f}s"

@@ -88,6 +88,17 @@ class TestExitCodes:
         assert out == ""
         assert err == "qcosmic: internal error: RuntimeError: lexer fell over\n"
 
+    @pytest.mark.parametrize("command", ["check", "measure", "diagram", "fmt"])
+    def test_interrupt_exits_130(self, capsys, monkeypatch, command):
+        def interrupted(text, file):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "parse_model", interrupted)
+        code, out, err = run(capsys, command, fixture("factoring.qcm"))
+        assert code == 130
+        assert out == ""
+        assert err == "qcosmic: interrupted\n"
+
     @pytest.mark.parametrize("command, target", [
         ("measure", "missing/r.txt"),  # a directory that does not exist
         ("diagram", ""),  # the directory itself

@@ -19,8 +19,6 @@ from qcosmic import (
     MovementKind,
     UnresolvedReferenceError,
     UnvalidatedModelError,
-    measure_layer,
-    measure_process,
     measure_system,
     parse_model,
     unique_movements,
@@ -97,36 +95,54 @@ class TestUniqueMovements:
         assert [m.kind for m in unique_movements(process)] == [MovementKind.X, MovementKind.E]
 
 
+def qcfp_by_process(model, dedup=DedupMode.ENDPOINT) -> dict[str, int]:
+    return {p.name: p.qcfp for p in measure_system(model, dedup).per_process}
+
+
+def qcfp_by_layer(model, dedup=DedupMode.ENDPOINT) -> dict[str, int]:
+    return {l.name: l.qcfp for l in measure_system(model, dedup).per_layer}
+
+
 class TestMeasureProcess:
     def test_factor_large_integer_is_six(self, factoring_model):
-        assert measure_process(factoring_model.process("Factor Large Integer")) == 6
+        assert qcfp_by_process(factoring_model)["Factor Large Integer"] == 6
 
     def test_break_rsa_is_four(self, factoring_model):
-        assert measure_process(factoring_model.process("Break RSA")) == 4
+        assert qcfp_by_process(factoring_model)["Break RSA"] == 4
 
     def test_empty_process_is_zero(self):
-        assert measure_process(FunctionalProcess("p", "l", ())) == 0
+        model = parse_model(
+            'system "S" { layer classical "A" user classical "U" datagroup "g" {} '
+            'process "P" in layer "A" { entry "g" from user "U" } '
+            'process "Idle" in layer "A" {} }'
+        ).model
+        assert sorted(d.code for d in validate(model)) == ["P1", "P3"]
+        assert qcfp_by_process(model) == {"P": 1, "Idle": 0}
 
     def test_both_dedup_modes_agree_on_the_fixture(self, factoring_model):
-        for process in factoring_model.processes:
-            assert measure_process(process, DedupMode.ENDPOINT) == measure_process(
-                process, DedupMode.COSMIC
-            )
+        assert qcfp_by_process(factoring_model, DedupMode.ENDPOINT) == qcfp_by_process(
+            factoring_model, DedupMode.COSMIC
+        )
+        assert qcfp_by_layer(factoring_model, DedupMode.ENDPOINT) == qcfp_by_layer(
+            factoring_model, DedupMode.COSMIC
+        )
 
 
 class TestMeasureLayer:
     def test_quantum_layer_is_two(self, factoring_model):
-        assert measure_layer(factoring_model.layer("Quantum"), factoring_model) == 2
+        assert qcfp_by_layer(factoring_model)["Quantum"] == 2
 
     def test_classical_layer_uc1_contribution_is_four(self, factoring_model):
         uc1_only = dataclasses.replace(
             factoring_model,
             processes=(factoring_model.process("Factor Large Integer"),),
         )
-        assert measure_layer(uc1_only.layer("Classical"), uc1_only) == 4
+        # dropping Break RSA leaves its four data groups unreferenced
+        assert [d.code for d in validate(uc1_only)] == ["P2"] * 4
+        assert qcfp_by_layer(uc1_only)["Classical"] == 4
 
     def test_classical_layer_total_is_eight(self, factoring_model):
-        assert measure_layer(factoring_model.layer("Classical"), factoring_model) == 8
+        assert qcfp_by_layer(factoring_model)["Classical"] == 8
 
     def test_isolated_layer_measures_zero(self):
         model = parse_model(
@@ -134,23 +150,7 @@ class TestMeasureLayer:
             'user classical "U" datagroup "g" {} '
             'process "P" in layer "A" { entry "g" from user "U" } }'
         ).model
-        assert measure_layer(model.layer("Empty"), model) == 0
-
-
-    def test_counts_a_model_with_errors_without_validating(self):
-        model = parse_model(load_fixture("bad_r3.qcm")).model
-        layered = sum(measure_layer(layer, model) for layer in model.layers)
-        assert layered == sum(measure_process(p) for p in model.processes)
-
-    @pytest.mark.parametrize("dedup", list(DedupMode))
-    def test_agrees_with_measure_system_over_corpus(self, dedup):
-        rng = random.Random(43)
-        for _ in range(50):
-            model = random_model(rng)
-            report = measure_system(model, dedup)
-            assert [measure_layer(layer, model, dedup) for layer in model.layers] == [
-                l.qcfp for l in report.per_layer
-            ]
+        assert qcfp_by_layer(model) == {"A": 1, "Empty": 0}
 
 
 def validating_fixture_models() -> list:
@@ -190,14 +190,6 @@ class TestUnresolvedReferences:
     def test_measure_system_raises(self, category):
         with pytest.raises(UnresolvedReferenceError):
             measure_system(dangling_model(category))
-
-    @pytest.mark.parametrize("category", DANGLING)
-    def test_measure_layer_raises_though_it_does_not_validate(self, category):
-        # the count reads each movement's resolution, so a reference that no
-        # layer's total depends on fails to resolve all the same
-        model = dangling_model(category)
-        with pytest.raises(UnresolvedReferenceError):
-            measure_layer(model.layers[0], model)
 
 
 class TestMeasureSystem:

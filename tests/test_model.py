@@ -28,12 +28,12 @@ from qcosmic import (
     UnresolvedReferenceError,
     data_group_nature,
     measure_system,
-    movement_is_quantum,
     process_nature,
     render_dot,
     system_nature,
     validate,
 )
+from qcosmic.model import QUANTUM_KINDS
 from gen import DANGLING, dangling_model, random_model
 from oracles import brute_force_process_nature, brute_force_system_nature
 
@@ -290,7 +290,7 @@ class TestMovementIsQuantum:
         ],
     )
     def test_table(self, kind, expected):
-        assert movement_is_quantum(kind) is expected
+        assert (kind in QUANTUM_KINDS) is expected
 
 
 def test_nature_derivation_is_monotone():

@@ -23,11 +23,11 @@ from qcosmic import (
     Severity,
     data_group_nature,
     measure_system,
-    movement_is_quantum,
     parse_model,
     validate,
 )
 from qcosmic import cli, rules
+from qcosmic.model import QUANTUM_KINDS
 from conftest import FIXTURES, load_fixture
 from gen import random_model
 from oracles import brute_force_cycles
@@ -235,7 +235,7 @@ class TestInvariants:
                         is Nature.QUANTUM
                     )
                     converts = movement.conversion is not Conversion.NONE
-                    assert movement_is_quantum(movement.kind) == (group_quantum or converts)
+                    assert (movement.kind in QUANTUM_KINDS) == (group_quantum or converts)
                     checked += 1
         assert checked > 500
 
