@@ -38,7 +38,7 @@ from .model import (
     process_nature,
     system_nature,
 )
-from .parser import ParseResult, Token, TokenKind, parse_model, tokenize
+from .parser import ParseResult, TokenKind, parse_model, tokenize
 from .rules import validate
 
 __version__ = "0.1.0"
@@ -66,7 +66,6 @@ __all__ = [
     "RenderOptions",
     "Severity",
     "Span",
-    "Token",
     "TokenKind",
     "Totals",
     "UnresolvedReferenceError",

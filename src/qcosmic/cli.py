@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .diagnostics import Diagnostic, has_errors, render_all, sort_key
 from .emit import RenderOptions, render_csv, render_dot, render_json, render_text
@@ -93,7 +92,8 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8-sig")
+    with open(path, encoding="utf-8-sig") as file:
+        return file.read()
 
 
 def _emit_diagnostics(diagnostics: list[Diagnostic]) -> None:
@@ -104,7 +104,8 @@ def _emit_diagnostics(diagnostics: list[Diagnostic]) -> None:
 def _write_output(text: str, output: str | None) -> None:
     data = text.encode("utf-8")
     if output is not None:
-        Path(output).write_bytes(data)
+        with open(output, "wb") as file:
+            file.write(data)
     elif hasattr(sys.stdout, "buffer"):
         # past the text layer, whose encoding may not hold every name
         sys.stdout.flush()
@@ -190,14 +191,12 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"qcosmic: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
     except OSError as exc:
         print(f"qcosmic: {exc}", file=sys.stderr)
         return EXIT_USAGE

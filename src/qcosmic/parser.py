@@ -25,9 +25,8 @@ The lexer is one compiled pattern read with ``finditer``, one match per
 token, so lexing runs at the regex engine's speed rather than one Python
 step per character. It fills four parallel lists with one entry per token:
 its ``TokenKind``, its text (a string literal's decoded value), its offset
-and its length. The parser walks these lists by position and builds no
-``Token``; ``tokenize`` zips them into ``Token`` objects for callers that
-want them. A token's line and column are computed on demand from the
+and its length; ``tokenize`` returns them, and the parser walks them by
+position. A token's line and column are computed on demand from the
 line-start offsets of the text, and the parser asks for them only for the
 declarations and movements it stores and the diagnostics it reports.
 
@@ -74,7 +73,6 @@ from .model import (
 __all__ = [
     "MOVEMENT_KEYWORDS",
     "ParseResult",
-    "Token",
     "TokenKind",
     "parse_model",
     "quote",
@@ -88,25 +86,6 @@ class TokenKind(enum.Enum):
     STRING = "string"
     PUNCT = "punctuation"
     EOI = "end-of-input"
-
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    """One lexeme: ``length`` code points of source starting at ``offset``.
-
-    ``text`` is the keyword, identifier or punctuation as written, or a
-    string literal's decoded value. ``span`` is computed when asked for.
-    """
-
-    kind: TokenKind
-    text: str
-    offset: int
-    length: int
-    lines: _Lines = field(repr=False, compare=False)
-
-    @property
-    def span(self) -> Span:
-        return self.lines.span(self.offset, self.length)
 
 
 KEYWORD, IDENT, STRING, PUNCT, EOI = TokenKind
@@ -190,14 +169,14 @@ _TOKEN = re.compile(
 _WORD, _STRING, _BODY, _CLOSE, _PUNCT, _END, _OTHER = range(1, 8)
 
 
-def _scan(text: str, file: str):
+def tokenize(text: str, file: str = "<input>"):
     """Lex ``text`` into parallel lists, one entry per token.
 
     Returns ``(kinds, texts, offsets, lengths, lines, diagnostics)``: each
     token's ``TokenKind``, text, offset and length, the line index of the
-    text, and the lexical diagnostics. The lists end with the end-of-input
-    token. Lexing continues past errors so one run reports every offending
-    character.
+    text, whose ``span(offset, length)`` is a token's span, and the lexical
+    diagnostics. The lists end with the end-of-input token. Lexing continues
+    past errors so one run reports every offending character.
     """
     kinds: list[TokenKind] = []
     texts: list[str] = []
@@ -255,16 +234,6 @@ def _scan(text: str, file: str):
     return kinds, texts, offsets, lengths, lines, diagnostics
 
 
-def tokenize(text: str, file: str = "<input>") -> tuple[list[Token], list[Diagnostic]]:
-    """Lex source text into tokens plus any lexical diagnostics.
-
-    Always finishes with an end-of-input token. Lexing continues past
-    errors so one run reports every offending character.
-    """
-    *columns, lines, diagnostics = _scan(text, file)
-    return [Token(*fields, lines) for fields in zip(*columns)], diagnostics
-
-
 def _unescape(match: re.Match) -> str:
     return _ESCAPES.get(match[1], match[1])
 
@@ -312,7 +281,7 @@ class ParseResult:
 
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.qcm`` source into a fully resolved model."""
-    *tokens, diagnostics = _scan(text, file)
+    *tokens, diagnostics = tokenize(text, file)
     parser = _Parser(*tokens)
     model = parser.parse()
     diagnostics.extend(parser.diagnostics)

