@@ -86,7 +86,8 @@ def render_text(report: MeasurementReport, opts: RenderOptions | None = None) ->
     )
     if report.cfpv5_equivalent:
         lines.append("note: CFPv5-equivalent (purely classical model)")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the output again
+    return "\n".join(lines)
 
 
 def _table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
@@ -244,7 +245,8 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
                 )
 
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the output again
+    return "\n".join(lines)
 
 
 def _participants(scoped: FunctionalProcess, model: Model):

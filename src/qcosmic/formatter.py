@@ -65,7 +65,8 @@ def format_model(model: Model) -> str:
             lines.append("")
         lines.extend(section)
     lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the output again
+    return "\n".join(lines)
 
 
 def _format_group(group: DataGroup, names: _Quoted) -> list[str]:

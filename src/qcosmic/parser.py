@@ -26,7 +26,9 @@ token, so lexing runs at the regex engine's speed rather than one Python
 step per character. It fills four parallel lists with one entry per token:
 its ``TokenKind``, its text (a string literal's decoded value), its offset
 and its length; ``tokenize`` returns them, and the parser walks them by
-position. A token's line and column are computed on demand from the
+position. Equal texts are one string, and the parser keeps one ``Endpoint``
+per distinct counterpart, so a model's names take memory per distinct name,
+not per use. A token's line and column are computed on demand from the
 line-start offsets of the text, and the parser asks for them only for the
 declarations and movements it stores and the diagnostics it reports.
 
@@ -137,6 +139,7 @@ _DECL_KEYWORDS = frozenset({"layer", "user", "storage", "datagroup", "process"})
 _TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
 _ATTR_STARTERS = frozenset({"attr"})
 _MOVEMENT_STARTERS = frozenset(MOVEMENT_KEYWORDS)
+_KEYWORD_TEXTS = {word: word for word in KEYWORDS}  # the one string per keyword
 _SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
 _NATURES = {"classical": Nature.CLASSICAL, "quantum": Nature.QUANTUM}
 _ENDPOINT_KINDS = {
@@ -153,13 +156,15 @@ _NEWLINE = re.compile(r"\r\n?|\n")
 
 # One match per token. Each match first skips blanks, newlines and comments,
 # then takes exactly one alternative; the numbered groups select the branch.
+# The skip and the string body are unrolled loops: a run of plain characters
+# is one step of the engine, not one step per character.
 _TOKEN = re.compile(
-    r"(?:[ \t\r\n]+|//[^\r\n]*)*"
+    r"[ \t\r\n]*(?://[^\r\n]*[ \t\r\n]*)*"
     r"(?:"
     r"([A-Za-z][A-Za-z0-9_]*)"  # 1 keyword or identifier
     # 2 string, 3 its undecoded body, 4 the closing quote; an unclosed string
     # stops before the line break and keeps a backslash that has no escapee
-    r'|("((?:[^"\\\r\n]+|\\[^\r\n])*\\?)(")?)'
+    r'|("([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*\\?)(")?)'
     r"|([{}:,])"  # 5 punctuation
     r"|(\Z)"  # 6 end of input
     r"|(.)"  # 7 any other character is illegal
@@ -183,7 +188,11 @@ def tokenize(text: str, file: str = "<input>"):
     offsets: list[int] = []
     lengths: list[int] = []
     diagnostics: list[Diagnostic] = []
-    decoded: dict[str, str] = {}  # escaped body -> value; a name recurs at every use
+    # A name recurs at every use, so each distinct text is one string: ``names``
+    # maps an identifier or undecoded string body to its value, and ``values``
+    # maps each value to its one object.
+    names: dict[str, str] = {}
+    values = dict(_KEYWORD_TEXTS)
     lines = _Lines(text, file)
     add_kind, add_text, add_offset, add_length = (
         kinds.append, texts.append, offsets.append, lengths.append
@@ -193,8 +202,15 @@ def tokenize(text: str, file: str = "<input>"):
         start = match.start(group)
         if group == _WORD:
             word = match[_WORD]
-            add_kind(KEYWORD if word in KEYWORDS else IDENT)
-            add_text(word)
+            value = _KEYWORD_TEXTS.get(word)
+            if value is not None:
+                add_kind(KEYWORD)
+            else:
+                add_kind(IDENT)
+                value = names.get(word)
+                if value is None:
+                    value = names[word] = values.setdefault(word, word)
+            add_text(value)
             add_offset(start)
             add_length(len(word))
         elif group == _STRING:
@@ -203,11 +219,11 @@ def tokenize(text: str, file: str = "<input>"):
                 span = lines.span(start, length)
                 diagnostics.append(error("L1", "unterminated string literal", span=span))
                 continue
-            value = match[_BODY]
-            if "\\" in value:
-                if value not in decoded:
-                    decoded[value] = _ESCAPE.sub(_unescape, value)
-                value = decoded[value]
+            body = match[_BODY]
+            value = names.get(body)
+            if value is None:
+                value = _ESCAPE.sub(_unescape, body) if "\\" in body else body
+                value = names[body] = values.setdefault(value, value)
             add_kind(STRING)
             add_text(value)
             add_offset(start)
@@ -312,8 +328,10 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
-        # (category, position of the name) of every reference, for resolution errors
-        self.references: list[tuple[str, int]] = []
+        # category -> position of the name of every reference, for resolution errors
+        self.references: dict[str, list[int]] = {category: [] for category in _DECL_KEYWORDS}
+        # endpoint keyword -> name -> the one counterpart of that kind and name
+        self.endpoints: dict[str, dict[str, Endpoint]] = {word: {} for word in _ENDPOINT_KINDS}
 
     # -- token helpers ------------------------------------------------------
 
@@ -538,7 +556,7 @@ class _Parser:
         layer = self.expect("layer name string")
         if layer is None:
             return None
-        self.references.append(("layer", layer))
+        self.references["layer"].append(layer)
         uses: list[str] = []
         more = self.at("uses")
         while more:
@@ -547,7 +565,7 @@ class _Parser:
             if used is None:
                 return None
             uses.append(self.texts[used])
-            self.references.append(("process", used))
+            self.references["process"].append(used)
             more = self.at(",")
         if self.expect("'{'", "{") is None:
             return None
@@ -579,13 +597,17 @@ class _Parser:
             conversion = _CONVERSIONS[texts[pos]]
             pos += 1
         self.pos = pos
-        endpoint_kind = _ENDPOINT_KINDS[texts[endpoint]]
-        self.references.append(("datagroup", group))
-        self.references.append((texts[endpoint], name))  # the keyword names the category
+        word, named = texts[endpoint], texts[name]
+        self.references["datagroup"].append(group)
+        self.references[word].append(name)  # the keyword names the category
+        shared = self.endpoints[word]
+        counterpart = shared.get(named)
+        if counterpart is None:
+            counterpart = shared[named] = Endpoint(_ENDPOINT_KINDS[word], named)
         return DataMovement(
             MOVEMENT_KEYWORDS[texts[start]],
             texts[group],
-            Endpoint(endpoint_kind, texts[name]),
+            counterpart,
             conversion,
             self.span(start),
         )
@@ -612,10 +634,15 @@ class _Parser:
 
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
-    """Report S3 for every reference that names no declaration."""
+    """Report S3 for every reference that names no declaration, in text order."""
     texts, declared = parser.texts, parser.declared
-    for category, pos in parser.references:
+    unresolved = sorted(
+        (pos, category)
+        for category, positions in parser.references.items()
+        for pos in positions
+        if texts[pos] not in declared[category]
+    )
+    for pos, category in unresolved:
         name = texts[pos]
-        if name not in declared[category]:
-            message = f"unresolved {category} reference {name!r}"
-            diagnostics.append(error("S3", message, name, parser.span(pos)))
+        message = f"unresolved {category} reference {name!r}"
+        diagnostics.append(error("S3", message, name, parser.span(pos)))

@@ -7,10 +7,8 @@ token it was read from.
 
 from __future__ import annotations
 
-import importlib.util
 import random
 import string
-import sys
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +16,7 @@ from hypothesis import strategies as st
 
 from qcosmic import format_model, parse_model, tokenize
 from qcosmic.parser import MOVEMENT_KEYWORDS
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_corpus
 from gen import hostile_texts, random_model
 from oracles import reference_tokenize
 
@@ -51,18 +49,9 @@ def test_fixtures(path):
     assert_same_as_reference(path.read_text(encoding="utf-8"))
 
 
-def _bench_corpus():
-    """``bench/corpus.py``, the benchmark's model generator, loaded by path."""
-    path = FIXTURES.parent / "bench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("build", ["resolve_model", "bad_parse_model"])
 def test_bench_corpus(build):
-    assert_same_as_reference(getattr(_bench_corpus(), build)(3, 4).source)
+    assert_same_as_reference(getattr(bench_corpus(), build)(3, 4).source)
 
 
 def test_round_trip_corpus():

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qcosmic import (
     Conversion,
+    Endpoint,
     EndpointKind,
+    Model,
     MovementKind,
     Nature,
     Severity,
@@ -20,7 +25,7 @@ from qcosmic import (
 )
 from qcosmic import parser
 from qcosmic.parser import quote
-from conftest import FIXTURES
+from conftest import FIXTURES, bench_corpus, load_fixture
 from gen import hostile_texts
 
 
@@ -282,13 +287,35 @@ class TestParseModel:
         assert any(d.code == "S1" for d in result.diagnostics)
 
     def test_unresolved_references_are_reported(self):
+        # every category interleaved with the others: the S3s come in text order
         result = parse_model(
-            'system "S" { layer classical "A" '
-            'process "P" in layer "B" { entry "g" from user "U" } }'
+            'system "S" {\n'
+            '  layer classical "A"\n'
+            '  user classical "U"\n'
+            '  datagroup "g" {}\n'
+            '  process "P" in layer "B" uses "Q", "X" {\n'
+            '    entry "h" from user "V"\n'
+            '    read "g" from storage "D"\n'
+            '    exit "k" to process "Y"\n'
+            '    write "g" to user "U"\n'
+            '  }\n'
+            '  process "Q" in layer "C" uses "P" { exit "h" to storage "E" }\n'
+            '}\n'
         )
         assert result.model is None
-        unresolved = sorted(d.subject for d in result.diagnostics if d.code == "S3")
-        assert unresolved == ["B", "U", "g"]
+        assert [d.code for d in result.diagnostics] == ["S3"] * 10
+        assert [(d.message, d.subject, d.span.line, d.span.column) for d in result.diagnostics] == [
+            ("unresolved layer reference 'B'", "B", 5, 24),
+            ("unresolved process reference 'X'", "X", 5, 38),
+            ("unresolved datagroup reference 'h'", "h", 6, 11),
+            ("unresolved user reference 'V'", "V", 6, 25),
+            ("unresolved storage reference 'D'", "D", 7, 27),
+            ("unresolved datagroup reference 'k'", "k", 8, 10),
+            ("unresolved process reference 'Y'", "Y", 8, 25),
+            ("unresolved layer reference 'C'", "C", 11, 24),
+            ("unresolved datagroup reference 'h'", "h", 11, 44),
+            ("unresolved storage reference 'E'", "E", 11, 59),
+        ]
 
     def test_forward_references_resolve(self):
         result = parse_model(
@@ -440,3 +467,127 @@ def test_parse_model_calls_tokenize_once_through_the_module_global(monkeypatch):
         calls.clear()
         assert parse_model(text, file="t.qcm") == result
         assert calls == [(text, "t.qcm")]
+
+
+# a name with an escaped quote, declared once and used twice; a string that
+# reads as a keyword; and one value written with an escape and without one
+_ESCAPED_NAMES = (
+    'system "S" {\n'
+    '  layer classical "a\\"b"\n'
+    '  user classical "layer"\n'
+    '  user classical "t\\tab"\n'
+    '  datagroup "g" {}\n'
+    '  process "P" in layer "a\\"b" { entry "g" from user "layer" exit "g" to user "t\tab" }\n'
+    '  process "Q" in layer "a\\"b" uses "P" { exit "g" to user "layer" }\n'
+    '}\n'
+)
+_CORPUS_BUILDS = ("resolve_model", "text_model", "bad_parse_model")
+_SHARING_CASES = [
+    *(path.name for path in sorted(FIXTURES.glob("*.qcm"))), *_CORPUS_BUILDS, "escaped-names"
+]
+
+
+def _sharing_text(case: str) -> str:
+    """A fixture's text, a ``bench/corpus.py`` model at 4x, or ``_ESCAPED_NAMES``."""
+    if case in _CORPUS_BUILDS:
+        return getattr(bench_corpus(), case)(3, 4).source
+    return _ESCAPED_NAMES if case == "escaped-names" else load_fixture(case)
+
+
+def _parsed(case: str) -> Model:
+    """The model the parser builds from a case's text, which a text with errors also yields."""
+    return parser._Parser(*tokenize(_sharing_text(case))[:-1]).parse()
+
+
+def _one_object_each(values: list) -> bool:
+    """Equal values are one object: as many objects as distinct values."""
+    return len({id(value) for value in values}) == len(set(values))
+
+
+def _fresh(name: str) -> str:
+    """An equal string that is a new object (a one-character string is a singleton)."""
+    return (name + "_")[:-1]
+
+
+def _fresh_copy(model: Model) -> Model:
+    """``model`` rebuilt with a new object for every name and counterpart."""
+    def movement(m):
+        counterpart = Endpoint(m.counterpart.kind, _fresh(m.counterpart.name))
+        return replace(m, data_group=_fresh(m.data_group), counterpart=counterpart)
+
+    def declared(decls):
+        return tuple(replace(d, name=_fresh(d.name)) for d in decls)
+
+    return replace(
+        model,
+        name=_fresh(model.name),
+        purpose=_fresh(model.purpose),
+        scope=_fresh(model.scope),
+        layers=declared(model.layers),
+        users=declared(model.users),
+        storages=declared(model.storages),
+        data_groups=tuple(
+            replace(g, name=_fresh(g.name), attributes=declared(g.attributes))
+            for g in model.data_groups
+        ),
+        processes=tuple(
+            replace(
+                p,
+                name=_fresh(p.name),
+                layer=_fresh(p.layer),
+                movements=tuple(map(movement, p.movements)),
+                uses=tuple(map(_fresh, p.uses)),
+            )
+            for p in model.processes
+        ),
+    )
+
+
+class TestSharing:
+    """One object per distinct text and per distinct counterpart in a parse."""
+
+    @pytest.mark.parametrize("case", _SHARING_CASES)
+    def test_equal_token_texts_are_one_object(self, case):
+        texts = tokenize(_sharing_text(case))[1]
+        assert _one_object_each(texts)
+
+    @pytest.mark.parametrize("case", _SHARING_CASES)
+    def test_equal_counterparts_are_one_object(self, case):
+        model = _parsed(case)
+        counterparts = [m.counterpart for p in model.processes for m in p.movements]
+        assert _one_object_each(counterparts)
+        assert _one_object_each([c.name for c in counterparts])
+
+    def test_escaped_names_share_one_string(self):
+        model = parse_model(_ESCAPED_NAMES).model
+        first, second = model.processes
+        assert model.layers[0].name == first.layer == 'a"b'
+        assert first.layer is second.layer is model.layers[0].name
+        assert first.movements[0].counterpart is second.movements[0].counterpart
+        assert model.users[0].name is first.movements[0].counterpart.name == "layer"
+        assert model.users[1].name is first.movements[1].counterpart.name == "t\tab"
+
+    @pytest.mark.parametrize("case", _SHARING_CASES)
+    def test_model_equals_a_fresh_copy(self, case):
+        model = _parsed(case)
+        copy = _fresh_copy(model)
+        assert copy == model
+        assert hash(copy) == hash(model)
+
+    @pytest.mark.parametrize(("build", "bound"), [("resolve_model", 1300), ("text_model", 780)])
+    def test_parse_peak_memory_per_movement(self, build, bound):
+        text = getattr(bench_corpus(), build)(3, 4).source
+        parse_model(text)  # anything the first parse builds once is not counted
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            model = parse_model(text).model
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        movements = sum(len(process.movements) for process in model.processes)
+        assert peak / movements <= bound
