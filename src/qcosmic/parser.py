@@ -597,13 +597,13 @@ class _Parser:
             conversion = _CONVERSIONS[texts[pos]]
             pos += 1
         self.pos = pos
-        word, named = texts[endpoint], texts[name]
+        word, far_name = texts[endpoint], texts[name]
         self.references["datagroup"].append(group)
         self.references[word].append(name)  # the keyword names the category
         shared = self.endpoints[word]
-        counterpart = shared.get(named)
+        counterpart = shared.get(far_name)
         if counterpart is None:
-            counterpart = shared[named] = Endpoint(_ENDPOINT_KINDS[word], named)
+            counterpart = shared[far_name] = Endpoint(_ENDPOINT_KINDS[word], far_name)
         return DataMovement(
             MOVEMENT_KEYWORDS[texts[start]],
             texts[group],
