@@ -16,7 +16,7 @@ from .model import (
     INBOUND_KINDS,
     Model,
 )
-from .parser import MOVEMENT_KEYWORDS, _Quoted, quote
+from .parser import MOVEMENT_KEYWORDS, _WORD_RULE, _Quoted, quote
 
 __all__ = ["format_model", "format_movement"]
 
@@ -29,7 +29,7 @@ _KIND_WORDS = {
 
 
 def format_model(model: Model) -> str:
-    """Render a model as canonical source text."""
+    """Render a model as canonical source text; a non-word attribute name is a ValueError."""
     if model.is_empty() and not model.purpose and not model.scope:
         return f"system {quote(model.name)} {{}}\n"
 
@@ -75,6 +75,8 @@ def _format_group(group: DataGroup, names: _Quoted) -> list[str]:
         return [head + " {}"]
     lines = [head + " {"]
     for attr in group.attributes:
+        if _WORD_RULE.fullmatch(attr.name) is None:
+            raise ValueError(f"data group {group.name!r}: attribute {attr.name!r} is not a word")
         lines.append(f"    attr {attr.name}: {attr.nature._value_}")
     lines.append("  }")
     return lines

@@ -16,12 +16,12 @@ explicitly; data groups and processes derive it:
 
 Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
 index that the model builds once, at construction; when a hand-built model
-declares a name twice, the first declaration wins. Derived facts (the
-system's nature, the rule catalog's findings, each data group's nature, and
-each declared process's nature, layer and movement resolution) are computed
-on first use and kept in a private per-model memo, which takes no part in
-equality or hashing; ``dataclasses.replace`` gives the new model an empty
-one. The rules, the counter and the diagram all read that one resolution.
+declares a name twice, the first declaration wins. Derived facts (the rule
+catalog's findings, each data group's nature, and each declared process's
+nature, layer and movement resolution) are computed on first use and kept in
+a private per-model memo, which takes no part in equality or hashing;
+``dataclasses.replace`` gives the new model an empty one. The rules, the
+counter and the diagram all read that one resolution.
 
 Everything here is immutable and hashable; all operations are pure.
 """
@@ -336,10 +336,6 @@ def _counterpart(endpoint: Endpoint, model: Model) -> tuple[Nature, Layer | None
 
 def system_nature(model: Model) -> Nature:
     """Quantum iff any layer, user, storage, data group, or process is quantum."""
-    return model._memo("system", lambda: _system_nature(model))
-
-
-def _system_nature(model: Model) -> Nature:
     for declared in (*model.layers, *model.users, *model.storages):
         if declared.nature is Nature.QUANTUM:
             return Nature.QUANTUM

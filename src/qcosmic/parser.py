@@ -26,10 +26,10 @@ token, so lexing runs at the regex engine's speed rather than one Python
 step per character. It fills four parallel lists with one entry per token:
 its ``TokenKind``, its text (a string literal's decoded value), its offset
 and its length; ``tokenize`` returns them, and the parser walks them by
-position. Equal texts are one string, and the parser keeps one ``Endpoint``
-per distinct counterpart, so a model's names take memory per distinct name,
-not per use. A token's line and column are computed on demand from the
-line-start offsets of the text, and the parser asks for them only for the
+position. Equal spellings are one string, and the parser keeps one
+``Endpoint`` per distinct counterpart, so names take memory per distinct
+spelling, not per use. A token's line and column are computed on demand from
+the line-start offsets of the text, and the parser asks for them only for the
 declarations and movements it stores and the diagnostics it reports.
 
 The parser reads tokens through two helpers: ``at`` tests the current token
@@ -153,6 +153,7 @@ _CONVERSIONS = {"prepare": Conversion.PREPARE, "measure": Conversion.MEASURE}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _NEWLINE = re.compile(r"\r\n?|\n")
+_WORD_RULE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # a keyword or identifier
 
 # One match per token. Each match first skips blanks, newlines and comments,
 # then takes exactly one alternative; the numbered groups select the branch.
@@ -161,7 +162,7 @@ _NEWLINE = re.compile(r"\r\n?|\n")
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?://[^\r\n]*[ \t\r\n]*)*"
     r"(?:"
-    r"([A-Za-z][A-Za-z0-9_]*)"  # 1 keyword or identifier
+    r"(" + _WORD_RULE.pattern + ")"  # 1 keyword or identifier
     # 2 string, 3 its undecoded body, 4 the closing quote; an unclosed string
     # stops before the line break and keeps a backslash that has no escapee
     r'|("([^"\\\r\n]*(?:\\[^\r\n][^"\\\r\n]*)*\\?)(")?)'
@@ -188,11 +189,9 @@ def tokenize(text: str, file: str = "<input>"):
     offsets: list[int] = []
     lengths: list[int] = []
     diagnostics: list[Diagnostic] = []
-    # A name recurs at every use, so each distinct text is one string: ``names``
-    # maps an identifier or undecoded string body to its value, and ``values``
-    # maps each value to its one object.
+    # A name recurs at every use, so each distinct spelling is one string:
+    # ``names`` maps an identifier or undecoded string body to its value.
     names: dict[str, str] = {}
-    values = dict(_KEYWORD_TEXTS)
     lines = _Lines(text, file)
     add_kind, add_text, add_offset, add_length = (
         kinds.append, texts.append, offsets.append, lengths.append
@@ -207,9 +206,7 @@ def tokenize(text: str, file: str = "<input>"):
                 add_kind(KEYWORD)
             else:
                 add_kind(IDENT)
-                value = names.get(word)
-                if value is None:
-                    value = names[word] = values.setdefault(word, word)
+                value = names.setdefault(word, word)
             add_text(value)
             add_offset(start)
             add_length(len(word))
@@ -223,7 +220,7 @@ def tokenize(text: str, file: str = "<input>"):
             value = names.get(body)
             if value is None:
                 value = _ESCAPE.sub(_unescape, body) if "\\" in body else body
-                value = names[body] = values.setdefault(value, value)
+                names[body] = value
             add_kind(STRING)
             add_text(value)
             add_offset(start)

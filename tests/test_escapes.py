@@ -12,6 +12,8 @@ diff.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -33,8 +35,12 @@ from qcosmic import (
     PersistentStorage,
     RenderOptions,
     format_model,
+    measure_system,
     parse_model,
+    render_csv,
     render_dot,
+    render_json,
+    render_text,
     validate,
 )
 from qcosmic.diagnostics import has_errors
@@ -162,6 +168,28 @@ def test_formatted_source_reparses_to_an_equal_model():
     model = escape_model()
     result = parse_model(format_model(model))
     assert result.model == model, [d.render() for d in result.diagnostics]
+
+
+def test_json_report_gives_back_every_name():
+    model = escape_model()
+    payload = json.loads(render_json(measure_system(model)))
+    assert payload["system"] == model.name
+    assert [p["name"] for p in payload["processes"]] == [p.name for p in model.processes]
+    assert [p["layer"] for p in payload["processes"]] == [p.layer for p in model.processes]
+    assert [l["name"] for l in payload["layers"]] == [l.name for l in model.layers]
+
+
+def test_csv_report_gives_back_every_process_and_layer():
+    model = escape_model()
+    rows = list(csv.reader(io.StringIO(render_csv(measure_system(model)), newline="")))
+    assert [row[:2] for row in rows[1:-1]] == [[p.name, p.layer] for p in model.processes]
+
+
+def test_text_report_contains_every_process_and_layer():
+    model = escape_model()
+    text = render_text(measure_system(model), RenderOptions(by_layer=True))
+    for name in [p.name for p in model.processes] + [l.name for l in model.layers]:
+        assert name in text
 
 
 if __name__ == "__main__":

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 
-from qcosmic import format_model, parse_model
+import pytest
+
+from qcosmic import Attribute, DataGroup, Model, Nature, format_model, parse_model
 from gen import random_model
 
 
@@ -63,3 +65,18 @@ def test_random_models_round_trip():
         )
         assert result.model == model
         assert format_model(result.model) == text
+
+
+def _model_with_attribute(name: str) -> Model:
+    return Model("S", data_groups=(DataGroup("g", (Attribute(name, Nature.CLASSICAL),)),))
+
+
+@pytest.mark.parametrize("name", ["a b", "", "_x", "9x"])
+def test_attribute_name_that_is_not_a_word_is_refused(name):
+    with pytest.raises(ValueError, match=f"data group 'g': attribute {name!r} is not a word"):
+        format_model(_model_with_attribute(name))
+
+
+def test_keyword_attribute_name_round_trips():
+    model = _model_with_attribute("layer")
+    assert parse_model(format_model(model)).model == model

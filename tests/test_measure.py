@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -11,16 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcosmic import (
+    DataGroup,
     DataMovement,
     DedupMode,
     Endpoint,
     EndpointKind,
     FunctionalProcess,
+    FunctionalUser,
+    Layer,
+    Model,
     MovementKind,
+    Nature,
     UnresolvedReferenceError,
     UnvalidatedModelError,
     measure_system,
     parse_model,
+    render_json,
     unique_movements,
     validate,
 )
@@ -151,6 +158,24 @@ class TestMeasureLayer:
             'process "P" in layer "A" { entry "g" from user "U" } }'
         ).model
         assert qcfp_by_layer(model) == {"A": 1, "Empty": 0}
+
+    @pytest.mark.parametrize("second", [Nature.CLASSICAL, Nature.QUANTUM])
+    def test_layer_declared_twice_is_listed_once(self, second):
+        model = Model(
+            "S",
+            layers=(Layer("l", Nature.CLASSICAL), Layer("m", Nature.QUANTUM), Layer("l", second)),
+            users=(FunctionalUser("u", Nature.CLASSICAL),),
+            data_groups=(DataGroup("g"),),
+            processes=(FunctionalProcess("p", "l", (movement(MovementKind.E),)),),
+        )
+        report = measure_system(model)
+        layers = [(l.name, l.nature, l.qcfp) for l in report.per_layer]
+        assert layers == [("l", Nature.CLASSICAL, 1), ("m", Nature.QUANTUM, 0)]
+        assert sum(l.qcfp for l in report.per_layer) == report.totals.total_qcfp == 1
+        assert json.loads(render_json(report))["layers"] == [
+            {"name": "l", "nature": "classical", "qcfp": 1},
+            {"name": "m", "nature": "quantum", "qcfp": 0},
+        ]
 
 
 def validating_fixture_models() -> list:

@@ -544,12 +544,16 @@ def _fresh_copy(model: Model) -> Model:
 
 
 class TestSharing:
-    """One object per distinct text and per distinct counterpart in a parse."""
+    """One object per distinct spelling and per distinct counterpart in a parse."""
 
     @pytest.mark.parametrize("case", _SHARING_CASES)
     def test_equal_token_texts_are_one_object(self, case):
-        texts = tokenize(_sharing_text(case))[1]
-        assert _one_object_each(texts)
+        text = _sharing_text(case)
+        _, texts, offsets, lengths, _, _ = tokenize(text)
+        by_spelling: dict[str, set[int]] = {}
+        for value, offset, length in zip(texts, offsets, lengths):
+            by_spelling.setdefault(text[offset:offset + length], set()).add(id(value))
+        assert all(len(ids) == 1 for ids in by_spelling.values())
 
     @pytest.mark.parametrize("case", _SHARING_CASES)
     def test_equal_counterparts_are_one_object(self, case):
@@ -565,7 +569,7 @@ class TestSharing:
         assert first.layer is second.layer is model.layers[0].name
         assert first.movements[0].counterpart is second.movements[0].counterpart
         assert model.users[0].name is first.movements[0].counterpart.name == "layer"
-        assert model.users[1].name is first.movements[1].counterpart.name == "t\tab"
+        assert model.users[1].name == first.movements[1].counterpart.name == "t\tab"
 
     @pytest.mark.parametrize("case", _SHARING_CASES)
     def test_model_equals_a_fresh_copy(self, case):
