@@ -133,10 +133,29 @@ class TestExitCodes:
         assert err.startswith("qcosmic: ")
         assert len(err.splitlines()) == 1
 
-    def test_unknown_flag(self, capsys):
-        code, _, err = run(capsys, "measure", fixture("factoring.qcm"), "--bogus")
+    @pytest.mark.parametrize("argv", [
+        ("measure", fixture("factoring.qcm"), "--bogus"),
+        (),
+        ("bogus", fixture("factoring.qcm")),
+        ("measure", fixture("factoring.qcm"), "--format", "xml"),
+        ("measure", fixture("factoring.qcm"), "--dedup", "nope"),
+    ], ids=["unknown-flag", "no-arguments", "unknown-command", "bad-format", "bad-dedup"])
+    def test_usage_error(self, capsys, argv):
+        # argparse's wording differs between Python versions; only the shape is pinned
+        code, out, err = run(capsys, *argv)
         assert code == 3
-        assert err != ""
+        assert out == ""
+        assert err.startswith("qcosmic: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [("--help",), ("measure", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(list(argv))
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 0
+        assert "usage:" in captured.out
+        assert captured.err == ""
 
     def test_measure_refuses_invalid_model(self, capsys):
         code, out, err = run(capsys, "measure", fixture("bad_r4.qcm"))
