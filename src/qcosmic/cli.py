@@ -41,6 +41,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Stop(Exception):
+    """The diagnostics are written; ``main`` exits with the code in ``args[0]``."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
@@ -114,41 +118,36 @@ def _write_output(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> tuple[Model | None, list[Diagnostic], int]:
-    """Parse the input file; on failure the exit code is already decided."""
+def _load(path: str) -> tuple[Model, list[Diagnostic]]:
+    """Parse the input file into its model and parse diagnostics."""
     try:
         text = _read_input(path)
     except (OSError, UnicodeDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc
-        print(f"qcosmic: cannot read {path}: {reason}", file=sys.stderr)
-        return None, [], EXIT_USAGE
+        raise _UsageError(f"cannot read {path}: {reason}")
     result = parse_model(text, file=path)
     if result.model is None:
         _emit_diagnostics(result.diagnostics)
-        return None, [], EXIT_PARSE
-    return result.model, result.diagnostics, EXIT_OK
+        raise _Stop(EXIT_PARSE)
+    return result.model, result.diagnostics
 
 
-def _load_valid(path: str) -> tuple[Model | None, int]:
-    """Parse and validate the input file; the model is None unless it is error-free."""
-    model, parse_diags, code = _load(path)
-    if model is None:
-        return None, code
-    diagnostics = parse_diags + validate(model)
+def _load_valid(path: str) -> Model:
+    """Parse and validate the input file, writing its diagnostics; the model is error-free."""
+    model, diagnostics = _load(path)
+    diagnostics += validate(model)
     _emit_diagnostics(diagnostics)
     if has_errors(diagnostics):
-        return None, EXIT_VALIDATION
-    return model, EXIT_OK
+        raise _Stop(EXIT_VALIDATION)
+    return model
 
 
-def _run_check(args) -> int:
-    return _load_valid(args.input)[1]
+def _run_check(args) -> None:
+    _load_valid(args.input)
 
 
-def _run_measure(args) -> int:
-    model, code = _load_valid(args.input)
-    if model is None:
-        return code
+def _run_measure(args) -> None:
+    model = _load_valid(args.input)
     report = measure_system(model, dedup=DedupMode(args.dedup))
     if args.format == "json":
         text = render_json(report)
@@ -157,29 +156,21 @@ def _run_measure(args) -> int:
     else:
         text = render_text(report, RenderOptions(by_layer=args.by_layer))
     _write_output(text, args.output)
-    return EXIT_OK
 
 
-def _run_diagram(args) -> int:
-    model, code = _load_valid(args.input)
-    if model is None:
-        return code
+def _run_diagram(args) -> None:
+    model = _load_valid(args.input)
     try:
         text = render_dot(model, RenderOptions(scope=args.scope))
     except UnresolvedReferenceError as exc:
-        print(f"qcosmic: --scope: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _UsageError(f"--scope: {exc}")
     _write_output(text, args.output)
-    return EXIT_OK
 
 
-def _run_fmt(args) -> int:
-    model, parse_diags, code = _load(args.input)
-    if model is None:
-        return code
-    _emit_diagnostics(parse_diags)
+def _run_fmt(args) -> None:
+    model, diagnostics = _load(args.input)
+    _emit_diagnostics(diagnostics)
     _write_output(format_model(model), args.output)
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -193,11 +184,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"qcosmic: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+        _COMMANDS[args.command](args)
+        return EXIT_OK
+    except _Stop as stop:
+        return stop.args[0]
+    except (_UsageError, OSError) as exc:
         print(f"qcosmic: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except KeyboardInterrupt:

@@ -36,11 +36,14 @@ The parser reads tokens through two helpers: ``at`` tests the current token
 and ``expect`` takes it, so every S1 that expects a token reads
 ``expected <what>, found <token>``. A movement, the most frequent
 statement, tests its tokens in place in the order ``expect`` would take
-them and reports the same S1s. The parser recovers at statement
-boundaries so a single run reports multiple errors, and each block has one
-recovery point: a failed declaration or process header skips to the next
-top-level statement, and a failed attribute, or a token that starts no
-movement, skips to the next attribute or movement of its block. A model is
+them and reports the same S1s. A failure reports its S1 and raises
+``_Failed``, which the one recovery point of its block catches, so a single
+run reports multiple errors. There are five: ``parse`` returns no model when
+``system "name" {`` fails; a failed declaration or process header skips to
+the next top-level statement, and so does a failed ``purpose`` or ``scope``
+string; a failed attribute skips to the next attribute of its data group;
+and a failed movement skips to the next movement of its process, as a token
+that starts no movement does. A model is
 only returned when no error-severity diagnostic was produced; in particular
 every reference in a returned model resolves.
 
@@ -305,6 +308,10 @@ def parse_model(text: str, file: str = "<input>") -> ParseResult:
     return ParseResult(model, diagnostics)
 
 
+class _Failed(Exception):
+    """A production stopped at a syntax error that it has reported."""
+
+
 class _Parser:
     """Recursive-descent parser with statement-level error recovery.
 
@@ -352,27 +359,27 @@ class _Parser:
         kind = self.kinds[pos]
         return kind is EOI or (self.texts[pos] == "}" and kind is not STRING)
 
-    def expect(self, what: str, *words: str) -> int | None:
+    def expect(self, what: str, *words: str) -> int:
         """Take one of ``words``, or a string literal when no words are given.
 
         Return its position. Otherwise report ``expected {what}, found
-        {token}`` at the current token and take nothing.
+        {token}`` at the current token, take nothing and raise ``_Failed``.
         """
         pos = self.pos
         kind = self.kinds[pos]
         if (self.texts[pos] in words and kind is not STRING) if words else kind is STRING:
             self.pos = pos + 1  # never past the end of input, which matches nothing
             return pos
-        return self._expected(pos, what)
+        self._expected(pos, what)
 
     def _expected(self, pos: int, what: str) -> None:
-        """Stop at ``pos`` and report that it is not ``what``."""
+        """Stop at ``pos``, report that it is not ``what`` and raise ``_Failed``."""
         self.pos = pos
         self.error(f"expected {what}, found {self._describe(pos)}")
+        raise _Failed
 
-    def expect_nature(self) -> Nature | None:
-        pos = self.expect("'classical' or 'quantum'", *_NATURES)
-        return None if pos is None else _NATURES[self.texts[pos]]
+    def expect_nature(self) -> Nature:
+        return _NATURES[self.texts[self.expect("'classical' or 'quantum'", *_NATURES)]]
 
     def error(self, message: str) -> None:
         self.diagnostics.append(error("S1", message, span=self.span(self.pos)))
@@ -399,27 +406,30 @@ class _Parser:
     # -- grammar ------------------------------------------------------------
 
     def parse(self) -> Model | None:
-        if self.expect("'system'", "system") is None:
-            return None
-        name = self.expect("system name string")
-        if name is None or self.expect("'{'", "{") is None:
+        try:
+            self.expect("'system'", "system")
+            name = self.expect("system name string")
+            self.expect("'{'", "{")
+        except _Failed:
             return None
 
         purpose, scope = self._parse_headers()
         while not self.at_end():
-            if self.at(*_SIMPLE_DECLS):
-                self._parse_simple_decl(self.texts[self.pos])
-            elif self.at("datagroup"):
-                self._parse_datagroup()
-            elif self.at("process"):
-                self._parse_process()
-            elif self.at("purpose", "scope"):
-                self.error(f"{self.texts[self.pos]!r} must appear before declarations")
-                self.advance()
-                if self.kinds[self.pos] is STRING:
+            try:
+                if self.at(*_SIMPLE_DECLS):
+                    self._parse_simple_decl()
+                elif self.at("datagroup"):
+                    self._parse_datagroup()
+                elif self.at("process"):
+                    self._parse_process()
+                elif self.at("purpose", "scope"):
+                    self.error(f"{self.texts[self.pos]!r} must appear before declarations")
                     self.advance()
-            else:
-                self.error(f"expected a declaration, found {self._describe(self.pos)}")
+                    if self.kinds[self.pos] is STRING:
+                        self.advance()
+                else:
+                    self._expected(self.pos, "a declaration")
+            except _Failed:
                 self._sync_top_level()
 
         if self.kinds[self.pos] is EOI:
@@ -449,8 +459,9 @@ class _Parser:
         headers: dict[str, str] = {}
         while self.at("purpose", "scope"):
             word = self.texts[self.advance()]
-            value = self.expect(f"{word} string")
-            if value is None:
+            try:
+                value = self.expect(f"{word} string")
+            except _Failed:
                 self._sync_top_level()
                 continue
             if word in headers:
@@ -458,25 +469,23 @@ class _Parser:
             headers[word] = self.texts[value]
         return headers.get("purpose", ""), headers.get("scope", "")
 
-    def _parse_simple_decl(self, category: str) -> None:
-        self.advance()
+    def _parse_simple_decl(self) -> None:
+        category = self.texts[self.advance()]
         nature = self.expect_nature()
-        name = None if nature is None else self.expect(f"{category} name string")
-        if name is None:
-            self._sync_top_level()
-            return
+        name = self.expect(f"{category} name string")
         self.declare(category, _SIMPLE_DECLS[category](self.texts[name], nature, self.span(name)))
 
     def _parse_datagroup(self) -> None:
         self.advance()
         name = self.expect("datagroup name string")
-        if name is None or self.expect("'{'", "{") is None:
-            self._sync_top_level()
-            return
+        self.expect("'{'", "{")
         attributes: dict[str, Attribute] = {}
         while not self.at_end():
-            if not self._parse_attr(attributes) and not self._sync_body(_ATTR_STARTERS):
-                return
+            try:
+                self._parse_attr(attributes)
+            except _Failed:
+                if not self._sync_body(_ATTR_STARTERS):
+                    return
         if self.at("}"):
             self.advance()
         else:
@@ -484,43 +493,34 @@ class _Parser:
         group = DataGroup(self.texts[name], tuple(attributes.values()), self.span(name))
         self.declare("datagroup", group)
 
-    def _parse_attr(self, attributes: dict[str, Attribute]) -> bool:
-        """Read ``attr NAME : nature`` into ``attributes``; False after a syntax error."""
-        if self.expect("'attr' or '}'", "attr") is None:
-            return False
+    def _parse_attr(self, attributes: dict[str, Attribute]) -> None:
+        """Read ``attr NAME : nature`` into ``attributes``."""
+        self.expect("'attr' or '}'", "attr")
         attr = self.pos
         if self.kinds[attr] not in (IDENT, KEYWORD):
-            self.error(f"expected attribute name, found {self._describe(attr)}")
-            return False
+            self._expected(attr, "attribute name")
         self.advance()
-        nature = None if self.expect("':'", ":") is None else self.expect_nature()
-        if nature is None:
-            return False
+        self.expect("':'", ":")
+        nature = self.expect_nature()
         name = self.texts[attr]
         if name in attributes:
             self.duplicate("attribute", name, self.span(attr))
         else:
             attributes[name] = Attribute(name, nature)
-        return True
 
     def _parse_process(self) -> None:
         self.advance()
-        header = self._parse_process_header()
-        if header is None:
-            self._sync_top_level()
-            return
-        name, layer, uses = header
+        name, layer, uses = self._parse_process_header()
         kinds, texts = self.kinds, self.texts
         movements: list[DataMovement] = []
         failed_at = -1  # where the last failed movement stopped; it reported there
         while not self.at_end():
             pos = self.pos
             if kinds[pos] is KEYWORD and texts[pos] in MOVEMENT_KEYWORDS:
-                movement = self._parse_movement()
-                if movement is None:
+                try:
+                    movements.append(self._parse_movement())
+                except _Failed:
                     failed_at = self.pos
-                else:
-                    movements.append(movement)
             elif kinds[pos] is KEYWORD and texts[pos] in _DECL_KEYWORDS:
                 # a declaration keyword here means the closing brace is missing
                 self.error("expected '}' to close the process block before this declaration")
@@ -538,59 +538,50 @@ class _Parser:
         )
         self.declare("process", process)
 
-    def _parse_process_header(self) -> tuple[int, int, list[str]] | None:
-        """``"name" in layer "L" (uses "P", ...)? {``; None after a syntax error.
+    def _parse_process_header(self) -> tuple[int, int, list[str]]:
+        """``"name" in layer "L" (uses "P", ...)? {``.
 
         Returns the positions of the process and layer names, and the used names.
         """
         name = self.expect("process name string")
-        if (
-            name is None
-            or self.expect("'in'", "in") is None
-            or self.expect("'layer'", "layer") is None
-        ):
-            return None
+        self.expect("'in'", "in")
+        self.expect("'layer'", "layer")
         layer = self.expect("layer name string")
-        if layer is None:
-            return None
         self.references["layer"].append(layer)
         uses: list[str] = []
         more = self.at("uses")
         while more:
             self.advance()
             used = self.expect("process name string")
-            if used is None:
-                return None
             uses.append(self.texts[used])
             self.references["process"].append(used)
             more = self.at(",")
-        if self.expect("'{'", "{") is None:
-            return None
+        self.expect("'{'", "{")
         return name, layer, uses
 
-    def _parse_movement(self) -> DataMovement | None:
+    def _parse_movement(self) -> DataMovement:
         """Read ``kind "group" (from|to) endpoint "name" (via conversion)?``.
 
-        None after a syntax error. The tokens are tested in place, in the order
-        ``expect`` would take them; a test passes only on a token other than the
-        end of input, so the next position always exists.
+        The tokens are tested in place, in the order ``expect`` would take them;
+        a test passes only on a token other than the end of input, so the next
+        position always exists.
         """
         kinds, texts, start = self.kinds, self.texts, self.pos
         group, direction, endpoint, name = start + 1, start + 2, start + 3, start + 4
         if kinds[group] is not STRING:
-            return self._expected(group, "data group string")
+            self._expected(group, "data group string")
         if texts[direction] not in _DIRECTIONS or kinds[direction] is STRING:
-            return self._expected(direction, "'from' or 'to'")
+            self._expected(direction, "'from' or 'to'")
         if texts[endpoint] not in _ENDPOINT_KINDS or kinds[endpoint] is STRING:
-            return self._expected(endpoint, "'user', 'storage', 'process', or 'layer'")
+            self._expected(endpoint, "'user', 'storage', 'process', or 'layer'")
         if kinds[name] is not STRING:
-            return self._expected(name, "endpoint name string")
+            self._expected(name, "endpoint name string")
         pos = name + 1
         conversion = Conversion.NONE
         if texts[pos] == "via" and kinds[pos] is not STRING:
             pos += 1
             if texts[pos] not in _CONVERSIONS or kinds[pos] is STRING:
-                return self._expected(pos, "'prepare' or 'measure'")
+                self._expected(pos, "'prepare' or 'measure'")
             conversion = _CONVERSIONS[texts[pos]]
             pos += 1
         self.pos = pos
