@@ -251,11 +251,11 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
 
 def _participants(scoped: FunctionalProcess, model: Model):
     """What a scoped diagram draws, in order of first use: users and storages
-    as (name, nature), and each layer with the (name, nature) of its processes."""
+    as (name, nature), and each layer with its processes' (name, nature) as dict keys."""
     layer, _, counterparts = _resolution(scoped, model)
     users: dict[str, Nature] = {}
     storages: dict[str, Nature] = {}
-    layers = {layer: [(scoped.name, process_nature(scoped, model))]}
+    layers = {layer: {(scoped.name, process_nature(scoped, model)): None}}
     for movement, (nature, far) in zip(scoped.movements, counterparts):
         cp = movement.counterpart
         if cp.kind is EndpointKind.USER:
@@ -263,9 +263,9 @@ def _participants(scoped: FunctionalProcess, model: Model):
         elif cp.kind is EndpointKind.STORAGE:
             storages.setdefault(cp.name, nature)
         else:
-            members = layers.setdefault(far, [])
-            if cp.kind is EndpointKind.PROCESS and (cp.name, nature) not in members:
-                members.append((cp.name, nature))
+            members = layers.setdefault(far, {})
+            if cp.kind is EndpointKind.PROCESS:
+                members[cp.name, nature] = None
     return users.items(), storages.items(), layers
 
 

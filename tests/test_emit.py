@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
 from qcosmic import (
+    DataGroup,
+    DataMovement,
+    Endpoint,
+    EndpointKind,
+    FunctionalProcess,
+    Layer,
+    Model,
+    MovementKind,
+    Nature,
     RenderOptions,
     UnresolvedReferenceError,
     measure_system,
@@ -189,3 +199,29 @@ class TestDot:
 
     def test_determinism(self, factoring_model):
         assert render_dot(factoring_model) == render_dot(factoring_model)
+
+
+def test_scoped_diagram_is_linear_in_its_counterparts():
+    # one hub process that exits to 10,000 distinct processes of its own layer
+    count = 10_000
+    hub = FunctionalProcess("hub", "l", tuple(
+        DataMovement(MovementKind.X, "g", Endpoint(EndpointKind.PROCESS, f"p{i}"))
+        for i in range(count)
+    ))
+    spokes = tuple(FunctionalProcess(f"p{i}", "l") for i in range(count))
+    model = Model(
+        "m", layers=(Layer("l", Nature.CLASSICAL),), data_groups=(DataGroup("g"),),
+        processes=(hub, *spokes),
+    )
+
+    def best(options):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            render_dot(model, options)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    whole = best(RenderOptions())
+    scoped = best(RenderOptions(scope="hub"))
+    assert scoped <= 5 * whole, (scoped, whole)
