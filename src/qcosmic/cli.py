@@ -5,7 +5,8 @@ Exit codes are stable for CI use:
   0  success, no validation errors (warnings allowed)
   1  validation errors found
   2  parse or lexical failure
-  3  usage or I/O error, including input that is not valid UTF-8
+  3  usage or I/O error, including input that is not valid UTF-8 and a closed
+     or unwritable stdout or stderr, even when validation errors were found
   4  internal error: a fault in qcosmic itself, never reported as 0 or 1
   130  interrupted (Ctrl-C), reported as one line on stderr
 
@@ -17,6 +18,7 @@ byte-identical to the ``-o`` file, whatever the locale's encoding.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .diagnostics import Diagnostic, has_errors, render_all, sort_key
@@ -48,6 +50,10 @@ class _Stop(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message: str):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        sys.stdout.flush()  # after --help: help that cannot be written is an I/O error
+        super().exit(status, message)
 
 
 def _build_parser() -> _ArgumentParser:
@@ -102,7 +108,7 @@ def _read_input(path: str) -> str:
 
 def _emit_diagnostics(diagnostics: list[Diagnostic]) -> None:
     if diagnostics:
-        print(render_all(sorted(diagnostics, key=sort_key)), file=sys.stderr)
+        print(render_all(sorted(diagnostics, key=sort_key)), file=sys.stderr, flush=True)
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -114,6 +120,7 @@ def _write_output(text: str, output: str | None) -> None:
         # past the text layer, whose encoding may not hold every name
         sys.stdout.flush()
         sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
     else:
         sys.stdout.write(text)
 
@@ -183,22 +190,31 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        if sys.stdout is None or sys.stderr is None:
+            raise _UsageError("standard output or error is closed")
         args = _build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
         return EXIT_OK
     except _Stop as stop:
         return stop.args[0]
     except (_UsageError, OSError) as exc:
-        print(f"qcosmic: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        message, code = f"qcosmic: {exc}", EXIT_USAGE
     except KeyboardInterrupt:
-        print("qcosmic: interrupted", file=sys.stderr)
-        return EXIT_INTERRUPTED
+        message, code = "qcosmic: interrupted", EXIT_INTERRUPTED
     except Exception as exc:
         # CI reads 0 as clean and 1 as validation errors; a fault in qcosmic
         # must not pass for either, nor end in a traceback
-        print(f"qcosmic: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
+        message, code = f"qcosmic: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
+    # the message goes to stderr if it can still take it; a stream that cannot be
+    # written gets the null device, so the flush at exit has nothing to fail on
+    for stream, text in ((sys.stderr, message + "\n"), (sys.stdout, "")):
+        if stream is not None:
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
 
 
 if __name__ == "__main__":
