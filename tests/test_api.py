@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 
@@ -101,6 +103,29 @@ def test_cli_process_without_site_packages(command, name, code):
     if "stderr" in golden:
         stderr = result.stderr.decode("utf-8").replace(str(FIXTURES), "<fixtures>")
         assert stderr == golden["stderr"]
+
+
+@pytest.mark.parametrize("argv, redirect", [
+    (("check", "bad_r4.qcm"), "2>&-"),
+    (("check", "bad_r4.qcm"), "2>/dev/full"),
+    (("measure", "factoring.qcm"), ">/dev/full"),
+    (("measure", "factoring.qcm"), ">&-"),
+    (("--help",), ">/dev/full"),
+], ids=["stderr-closed", "stderr-full", "stdout-full", "stdout-closed", "help-stdout-full"])
+def test_failed_standard_stream_exits_three(argv, redirect):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    argv = [str(FIXTURES / arg) if arg.endswith(".qcm") else arg for arg in argv]
+    command = shlex.join([sys.executable, "-I", "-S", "-c", _MAIN, str(SRC), *argv])
+    result = subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True, timeout=60)
+    assert result.returncode == 3, result.stderr
+    # nothing crosses to stdout, and Python's exit has no buffer left to fail on
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert b"Exception ignored" not in result.stderr
+    assert result.stderr == b"" or (
+        result.stderr.startswith(b"qcosmic: ") and len(result.stderr.splitlines()) == 1
+    )
 
 
 _ROUND_TRIP = """

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-import shlex
 import subprocess
 import sys
 
@@ -170,34 +169,6 @@ class TestExitCodes:
         )
         assert code == 3
         assert "--scope" in err
-
-
-# one `qcosmic` run as a real process, its streams redirected by the shell
-_MAIN = (
-    "import sys; sys.path[:0] = [sys.argv.pop(1)]; from qcosmic.cli import main; "
-    "sys.exit(main(sys.argv[1:]))"
-)
-
-
-@pytest.mark.parametrize("argv, redirect", [
-    (("check", "bad_r4.qcm"), "2>&-"),
-    (("check", "bad_r4.qcm"), "2>/dev/full"),
-    (("measure", "factoring.qcm"), ">/dev/full"),
-    (("measure", "factoring.qcm"), ">&-"),
-    (("--help",), ">/dev/full"),
-], ids=["stderr-closed", "stderr-full", "stdout-full", "stdout-closed", "help-stdout-full"])
-def test_failed_standard_stream_exits_three(argv, redirect):
-    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
-    argv = [fixture(arg) if arg.endswith(".qcm") else arg for arg in argv]
-    command = shlex.join([sys.executable, "-I", "-c", _MAIN, str(SRC), *argv])
-    result = subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True, timeout=60)
-    assert result.returncode == 3, result.stderr
-    # nothing crosses to stdout, and Python's exit has no buffer left to fail on
-    assert result.stdout == b""
-    assert b"Traceback" not in result.stderr
-    assert b"Exception ignored" not in result.stderr
-    assert result.stderr == b"" or len(result.stderr.splitlines()) == 1
 
 
 class TestOutputs:
