@@ -45,7 +45,9 @@ string; a failed attribute skips to the next attribute of its data group;
 and a failed movement skips to the next movement of its process, as a token
 that starts no movement does. A model is
 only returned when no error-severity diagnostic was produced; in particular
-every reference in a returned model resolves.
+every reference in a returned model resolves. After its first error, the
+parser still checks the syntax of every statement and collects every
+reference, but builds no movements.
 
 Diagnostic codes: L1 lexical error, S1 syntax error, S2 duplicate
 declaration, S3 unresolved reference, W1 empty system (warning).
@@ -100,15 +102,19 @@ class _Lines:
     """The start offset of every line of one source text.
 
     ``\\r\\n`` and a lone ``\\r`` each end one line, like ``\\n``; a tab is
-    one column and columns count code points.
+    one column and columns count code points. A text without ``\\r`` is
+    searched for the literal ``\\n``, which the regex engine finds with a
+    fast character scan; ``_NEWLINE`` has no literal prefix, so the engine
+    tries it at every offset, several times slower on a large text.
     """
 
     __slots__ = ("file", "starts")
 
     def __init__(self, text: str, file: str):
         self.file = file
+        newline = _NEWLINE if "\r" in text else _LINE_FEED
         self.starts = [0]
-        self.starts += [match.end() for match in _NEWLINE.finditer(text)]
+        self.starts += [match.end() for match in newline.finditer(text)]
 
     def span(self, offset: int, length: int) -> Span:
         line = bisect_right(self.starts, offset)
@@ -156,6 +162,7 @@ _CONVERSIONS = {"prepare": Conversion.PREPARE, "measure": Conversion.MEASURE}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _NEWLINE = re.compile(r"\r\n?|\n")
+_LINE_FEED = re.compile("\n")  # the line ends of a text without \r
 _WORD_RULE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")  # a keyword or identifier
 
 # One match per token. Each match first skips blanks, newlines and comments,
@@ -298,7 +305,7 @@ class ParseResult:
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
     """Parse ``.qcm`` source into a fully resolved model."""
     *tokens, diagnostics = tokenize(text, file)
-    parser = _Parser(*tokens)
+    parser = _Parser(*tokens, failed=has_errors(diagnostics))
     model = parser.parse()
     diagnostics.extend(parser.diagnostics)
     if model is not None:
@@ -316,12 +323,14 @@ class _Parser:
     """Recursive-descent parser with statement-level error recovery.
 
     A token is a position in the scanner's parallel lists; ``pos`` is the
-    current one, and it never moves past the end-of-input token.
+    current one, and it never moves past the end-of-input token. ``failed``
+    turns on at the first error, after which no model is returned, so
+    movements are still checked but no longer built.
     """
 
     def __init__(
         self, kinds: list[TokenKind], texts: list[str], offsets: list[int],
-        lengths: list[int], lines: _Lines,
+        lengths: list[int], lines: _Lines, failed: bool = False,
     ):
         self.kinds = kinds
         self.texts = texts
@@ -329,6 +338,7 @@ class _Parser:
         self.lengths = lengths
         self.lines = lines
         self.pos = 0
+        self.failed = failed
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
@@ -382,9 +392,11 @@ class _Parser:
         return _NATURES[self.texts[self.expect("'classical' or 'quantum'", *_NATURES)]]
 
     def error(self, message: str) -> None:
+        self.failed = True
         self.diagnostics.append(error("S1", message, span=self.span(self.pos)))
 
     def duplicate(self, category: str, name: str, span: Span) -> None:
+        self.failed = True
         self.diagnostics.append(error("S2", f"duplicate {category} name {name!r}", name, span))
 
     def _describe(self, pos: int) -> str:
@@ -518,7 +530,7 @@ class _Parser:
             pos = self.pos
             if kinds[pos] is KEYWORD and texts[pos] in MOVEMENT_KEYWORDS:
                 try:
-                    movements.append(self._parse_movement())
+                    self._parse_movement(movements)
                 except _Failed:
                     failed_at = self.pos
             elif kinds[pos] is KEYWORD and texts[pos] in _DECL_KEYWORDS:
@@ -559,12 +571,13 @@ class _Parser:
         self.expect("'{'", "{")
         return name, layer, uses
 
-    def _parse_movement(self) -> DataMovement:
+    def _parse_movement(self, movements: list[DataMovement]) -> None:
         """Read ``kind "group" (from|to) endpoint "name" (via conversion)?``.
 
         The tokens are tested in place, in the order ``expect`` would take them;
         a test passes only on a token other than the end of input, so the next
-        position always exists.
+        position always exists. The movement is appended to ``movements``
+        unless the parse has already failed; its references are kept either way.
         """
         kinds, texts, start = self.kinds, self.texts, self.pos
         group, direction, endpoint, name = start + 1, start + 2, start + 3, start + 4
@@ -588,17 +601,19 @@ class _Parser:
         word, far_name = texts[endpoint], texts[name]
         self.references["datagroup"].append(group)
         self.references[word].append(name)  # the keyword names the category
+        if self.failed:
+            return
         shared = self.endpoints[word]
         counterpart = shared.get(far_name)
         if counterpart is None:
             counterpart = shared[far_name] = Endpoint(_ENDPOINT_KINDS[word], far_name)
-        return DataMovement(
+        movements.append(DataMovement(
             MOVEMENT_KEYWORDS[texts[start]],
             texts[group],
             counterpart,
             conversion,
             self.span(start),
-        )
+        ))
 
     # -- recovery -----------------------------------------------------------
 
