@@ -1,9 +1,10 @@
 """Canonical ``.qcm`` formatter.
 
 Emits a deterministic textual form of a model: two-space indentation, LF
-line endings, declaration order preserved, one movement per line. Parsing
-the output reproduces a structurally equal model, and formatting is
-idempotent.
+line endings, declaration order preserved, one movement per line. When
+every name is declared once and every reference resolves, which
+``validate`` checks, parsing the output reproduces a structurally equal
+model. Formatting is idempotent.
 """
 
 from __future__ import annotations

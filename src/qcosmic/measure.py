@@ -29,7 +29,6 @@ from .model import (
     DataMovement,
     FunctionalProcess,
     KIND_ORDER,
-    Layer,
     Model,
     MovementKind,
     Nature,
@@ -147,10 +146,7 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
         raise UnvalidatedModelError(diagnostics)
 
     per_process = []
-    layers: dict[str, Layer] = {}  # each name once, as its first declaration
-    for layer in model.layers:
-        layers.setdefault(layer.name, layer)
-    layer_totals = dict.fromkeys(layers, 0)
+    layer_totals = {layer.name: 0 for layer in model.layers}  # S2 refused a repeated name
     quantum_qcfp = 0
     for process in model.processes:
         layer, _, counterparts = _resolution(process, model)
@@ -171,7 +167,7 @@ def measure_system(model: Model, dedup: DedupMode = DedupMode.ENDPOINT) -> Measu
     total_qcfp = sum(p.qcfp for p in per_process)
     classical_qcfp = total_qcfp - quantum_qcfp
     per_layer = tuple(
-        LayerMeasure(name, layers[name].nature, qcfp) for name, qcfp in layer_totals.items()
+        LayerMeasure(layer.name, layer.nature, layer_totals[layer.name]) for layer in model.layers
     )
     return MeasurementReport(
         system_name=model.name,

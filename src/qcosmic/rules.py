@@ -3,6 +3,8 @@
 Structural and counting rules are errors and block measurement; hygiene
 findings are warnings and never change measured size.
 
+  S2  a name is declared once per category, an attribute once per
+      data group (as the parser requires of source text)               ERROR
   R1  quantum system has at least one classical and one quantum layer  ERROR
   R2  read/write kinds target storage, entry/exit kinds do not         ERROR
   R3  storage nature matches the movement kind family                  ERROR
@@ -19,11 +21,13 @@ findings are warnings and never change measured size.
   P2  data group or storage is never referenced by a movement          WARNING
   P3  purely classical model; size coincides with COSMIC CFPv5         WARNING
 
-The catalog runs in three steps, all appending to one list of findings,
-which is then sorted: R1 and P3 from the system's nature; one sweep over
-the processes and their movements, which applies P1 to each process and
-R2-R8 to each movement and collects what P2 reports after it; and R9 from
-the cycles of the uses graph.
+The catalog runs in four steps, all appending to one list of findings,
+which is then sorted: S2 from the declarations; R1 and P3 from the
+system's nature; one sweep over the processes and their movements, which
+applies P1 to each process and R2-R8 to each movement and collects what P2
+reports after it; and R9 from the cycles of the uses graph. A parsed model
+never holds a duplicate, so S2 reaches only a model built by hand; every
+later stage can then rely on one declaration per name.
 
 Codes are stable across releases. Every rule is a pure function of the
 model, so identical models always yield the identical diagnostic sequence.
@@ -63,6 +67,7 @@ def validate(model: Model) -> list[Diagnostic]:
 
 def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
     found: list[Diagnostic] = []
+    _duplicates(model, found)
     if system_nature(model) is Nature.QUANTUM:
         natures = {layer.nature for layer in model.layers}
         if Nature.CLASSICAL not in natures or Nature.QUANTUM not in natures:
@@ -82,6 +87,33 @@ def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
         found.append(error("R9", f"cyclic uses chain: {chain}", cycle[0], span))
     found.sort(key=sort_key)
     return tuple(found)
+
+
+def _duplicates(model: Model, found: list[Diagnostic]) -> None:
+    """S2 for each later declaration of a name, in the parser's words.
+
+    An attribute has no span of its own, so its S2 carries its data group's.
+    """
+    for category, declared in (
+        ("layer", model.layers),
+        ("user", model.users),
+        ("storage", model.storages),
+        ("datagroup", model.data_groups),
+        ("process", model.processes),
+    ):
+        seen: set[str] = set()
+        for decl in declared:
+            if decl.name in seen:
+                message = f"duplicate {category} name {decl.name!r}"
+                found.append(error("S2", message, decl.name, decl.span))
+            seen.add(decl.name)
+    for group in model.data_groups:
+        seen = set()
+        for attribute in group.attributes:
+            if attribute.name in seen:
+                message = f"duplicate attribute name {attribute.name!r}"
+                found.append(error("S2", message, attribute.name, group.span))
+            seen.add(attribute.name)
 
 
 def _sweep(model: Model, found: list[Diagnostic]) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import random
 from decimal import ROUND_HALF_UP, Decimal
 
@@ -27,7 +26,6 @@ from qcosmic import (
     UnvalidatedModelError,
     measure_system,
     parse_model,
-    render_json,
     unique_movements,
     validate,
 )
@@ -160,7 +158,8 @@ class TestMeasureLayer:
         assert qcfp_by_layer(model) == {"A": 1, "Empty": 0}
 
     @pytest.mark.parametrize("second", [Nature.CLASSICAL, Nature.QUANTUM])
-    def test_layer_declared_twice_is_listed_once(self, second):
+    def test_layer_declared_twice_is_refused(self, second):
+        # validate reports S2 for the second "l", so per_layer never sees it
         model = Model(
             "S",
             layers=(Layer("l", Nature.CLASSICAL), Layer("m", Nature.QUANTUM), Layer("l", second)),
@@ -168,13 +167,14 @@ class TestMeasureLayer:
             data_groups=(DataGroup("g"),),
             processes=(FunctionalProcess("p", "l", (movement(MovementKind.E),)),),
         )
-        report = measure_system(model)
-        layers = [(l.name, l.nature, l.qcfp) for l in report.per_layer]
-        assert layers == [("l", Nature.CLASSICAL, 1), ("m", Nature.QUANTUM, 0)]
-        assert sum(l.qcfp for l in report.per_layer) == report.totals.total_qcfp == 1
-        assert json.loads(render_json(report))["layers"] == [
-            {"name": "l", "nature": "classical", "qcfp": 1},
-            {"name": "m", "nature": "quantum", "qcfp": 0},
+        with pytest.raises(UnvalidatedModelError) as refused:
+            measure_system(model)
+        assert [(d.code, d.message) for d in refused.value.diagnostics if d.is_error] == [
+            ("S2", "duplicate layer name 'l'"),
+        ]
+        report = measure_system(dataclasses.replace(model, layers=model.layers[:2]))
+        assert [(l.name, l.nature, l.qcfp) for l in report.per_layer] == [
+            ("l", Nature.CLASSICAL, 1), ("m", Nature.QUANTUM, 0),
         ]
 
 

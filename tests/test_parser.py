@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcosmic import (
     Conversion,
+    DataMovement,
     Endpoint,
     EndpointKind,
     Model,
@@ -467,6 +468,45 @@ def test_parse_model_calls_tokenize_once_through_the_module_global(monkeypatch):
         calls.clear()
         assert parse_model(text, file="t.qcm") == result
         assert calls == [(text, "t.qcm")]
+
+
+_MOVEMENT = '    entry "g" from user "u"\n'
+
+
+def _one_process(body: str) -> str:
+    return (
+        'system "S" {\n  layer classical "l"\n  user classical "u"\n'
+        '  datagroup "g" { attr a : classical }\n'
+        '  process "p" in layer "l" {\n' + body + "  }\n}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    ("text", "codes", "built"),
+    [
+        # an L1 from the lexer: no model can follow, so no movement is built
+        ("@" + _one_process(_MOVEMENT * 50), ["L1"], 0),
+        # an S1 on the first movement, which lacks ``from user``: the 50 after
+        # it are still read as movements, and checked but not built. (With only
+        # ``from`` dropped, the declaration keyword ``user`` would end the block.)
+        (_one_process('    entry "g" "u"\n' + _MOVEMENT * 50), ["S1"], 0),
+        (_one_process(_MOVEMENT * 50), [], 50),
+    ],
+    ids=["illegal-first-character", "first-movement-lacks-direction", "clean"],
+)
+def test_a_failed_parse_builds_no_movements(monkeypatch, text, codes, built):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return DataMovement(*args)
+
+    monkeypatch.setattr(parser, "DataMovement", counting)
+    result = parse_model(text)
+    assert [d.code for d in result.diagnostics] == codes
+    assert len(calls) == built
+    if built:
+        assert sum(len(p.movements) for p in result.model.processes) == built
 
 
 # a name with an escaped quote, declared once and used twice; a string that

@@ -20,8 +20,12 @@ from qcosmic import (
     Model,
     MovementKind,
     Nature,
+    PersistentStorage,
     Severity,
+    Span,
+    UnvalidatedModelError,
     data_group_nature,
+    format_model,
     measure_system,
     parse_model,
     validate,
@@ -339,6 +343,44 @@ class TestCatalogRunsOnce:
         second = validate(model)
         assert second == expected
         assert second is not first
+
+
+C, Q = Nature.CLASSICAL, Nature.QUANTUM
+# category -> a model built in code that declares the name "x" twice in it
+_DECLARED_TWICE = {
+    "layer": Model("S", layers=(Layer("x", C), Layer("x", Q))),
+    "user": Model("S", users=(FunctionalUser("x", C), FunctionalUser("x", C))),
+    "storage": Model("S", storages=(PersistentStorage("x", C), PersistentStorage("x", C))),
+    "datagroup": Model("S", data_groups=(DataGroup("x"), DataGroup("x"))),
+    "process": Model(
+        "S",
+        layers=(Layer("l", C),),
+        processes=(FunctionalProcess("x", "l"), FunctionalProcess("x", "l")),
+    ),
+    "attribute": Model("S", data_groups=(DataGroup("g", (Attribute("x", C), Attribute("x", C))),)),
+}
+
+
+class TestDeclaredTwice:
+    @pytest.mark.parametrize("category", _DECLARED_TWICE)
+    def test_later_declaration_is_s2_in_the_parsers_words(self, category):
+        model = _DECLARED_TWICE[category]
+        found = [(d.code, d.message, d.subject) for d in validate(model) if d.is_error]
+        assert found == [("S2", f"duplicate {category} name 'x'", "x")]
+        parsed = parse_model(format_model(model)).diagnostics
+        assert found == [(d.code, d.message, d.subject) for d in parsed if d.is_error]
+        with pytest.raises(UnvalidatedModelError):
+            measure_system(model)
+
+    def test_each_later_declaration_is_reported_at_its_span(self):
+        spans = [Span("m.qcm", line, 1) for line in (1, 2, 3)]
+        model = Model("S", users=tuple(FunctionalUser("u", C, span) for span in spans))
+        found = [d for d in validate(model) if d.code == "S2"]
+        assert [d.span for d in found] == spans[1:]
+
+    def test_the_same_object_twice_is_declared_twice(self):
+        layer = Layer("l", C)
+        assert [d.code for d in validate(Model("S", layers=(layer, layer)))] == ["P3", "S2"]
 
 
 def test_spanless_order_across_processes_and_within_a_movement():
