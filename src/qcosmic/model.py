@@ -16,7 +16,8 @@ explicitly; data groups and processes derive it:
 
 Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
 index that the model builds once, at construction; when a hand-built model
-declares a name twice, the first declaration wins. Derived facts (the rule
+declares a name twice, the first declaration wins, and ``validate`` reports
+S2 for the later one. Derived facts (the rule
 catalog's findings, each data group's nature, and each declared process's
 nature, layer and movement resolution) are computed on first use and kept in
 a private per-model memo, which takes no part in equality or hashing;
