@@ -1,4 +1,5 @@
-"""The public surface: every exported name exists, and the CLI loads only what it uses.
+"""The public surface: every exported name exists, the plain records keep their
+contract, and the CLI loads only what it uses.
 
 The CLI and the parser also run under ``python -I -S``: no site-packages and
 no ``PYTHON*`` variables, so an import of any third-party package fails and
@@ -18,6 +19,18 @@ import sys
 import pytest
 
 import qcosmic
+from qcosmic import (
+    LayerMeasure,
+    MeasurementReport,
+    MovementKind,
+    Nature,
+    ParseResult,
+    ProcessMeasure,
+    RenderOptions,
+    Span,
+    Totals,
+)
+from qcosmic.diagnostics import error
 from conftest import FIXTURES
 from test_golden_cli import GOLDEN_ENTRIES, cases
 
@@ -33,6 +46,94 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+_PROCESS = ProcessMeasure("p", "l", Nature.QUANTUM, 2, {MovementKind.E: 1, MovementKind.QX: 1})
+_LAYER = LayerMeasure("l", Nature.CLASSICAL, 3)
+_TOTALS = Totals(4, 3, 1, "75.0", "25.0")
+_FINDING = error("S1", "expected '}'", "s", Span("a.qcm", 2, 5))
+
+# record, its fields in order with sample values, another value per field, the sample's repr
+RECORDS = [
+    (ProcessMeasure, {
+        "name": "p", "layer": "l", "nature": Nature.QUANTUM, "qcfp": 2,
+        "tally": {MovementKind.E: 1, MovementKind.QX: 1},
+    }, {
+        "name": "q", "layer": "k", "nature": Nature.CLASSICAL, "qcfp": 1,
+        "tally": {MovementKind.E: 1},
+    }, "ProcessMeasure(name='p', layer='l', nature=<Nature.QUANTUM: 'quantum'>, qcfp=2, "
+       "tally={<MovementKind.E: 'E'>: 1, <MovementKind.QX: 'QX'>: 1})"),
+    (LayerMeasure, {"name": "l", "nature": Nature.CLASSICAL, "qcfp": 3},
+     {"name": "m", "nature": Nature.QUANTUM, "qcfp": 0},
+     "LayerMeasure(name='l', nature=<Nature.CLASSICAL: 'classical'>, qcfp=3)"),
+    (Totals, {
+        "total_qcfp": 4, "classical_qcfp": 3, "quantum_qcfp": 1,
+        "classical_percent": "75.0", "quantum_percent": "25.0",
+    }, {
+        "total_qcfp": 5, "classical_qcfp": 4, "quantum_qcfp": 2,
+        "classical_percent": "80.0", "quantum_percent": "20.0",
+    }, "Totals(total_qcfp=4, classical_qcfp=3, quantum_qcfp=1, "
+       "classical_percent='75.0', quantum_percent='25.0')"),
+    (MeasurementReport, {
+        "system_name": "s", "per_process": (_PROCESS,), "per_layer": (_LAYER,),
+        "totals": _TOTALS, "cfpv5_equivalent": False,
+    }, {
+        "system_name": "t", "per_process": (), "per_layer": (),
+        "totals": Totals(0, 3, 1, "75.0", "25.0"), "cfpv5_equivalent": True,
+    }, "MeasurementReport(system_name='s', per_process=(ProcessMeasure(name='p', layer='l', "
+       "nature=<Nature.QUANTUM: 'quantum'>, qcfp=2, tally={<MovementKind.E: 'E'>: 1, "
+       "<MovementKind.QX: 'QX'>: 1}),), per_layer=(LayerMeasure(name='l', "
+       "nature=<Nature.CLASSICAL: 'classical'>, qcfp=3),), totals=Totals(total_qcfp=4, "
+       "classical_qcfp=3, quantum_qcfp=1, classical_percent='75.0', quantum_percent='25.0'), "
+       "cfpv5_equivalent=False)"),
+    (RenderOptions, {"by_layer": True, "scope": "p"}, {"by_layer": False, "scope": None},
+     "RenderOptions(by_layer=True, scope='p')"),
+    (ParseResult, {"model": None, "diagnostics": [_FINDING]},
+     {"model": qcosmic.Model("m"), "diagnostics": []},
+     "ParseResult(model=None, diagnostics=[Diagnostic(severity=<Severity.ERROR: 'error'>, "
+     "code='S1', message=\"expected '}'\", subject='s', span=Span(file='a.qcm', line=2, "
+     "column=5, length=0))])"),
+]
+FROZEN = [ProcessMeasure, LayerMeasure, Totals, MeasurementReport, RenderOptions]
+
+
+@pytest.mark.parametrize(
+    "record, values, others, text", RECORDS, ids=[record.__name__ for record, *_ in RECORDS]
+)
+class TestRecords:
+    """Each plain record is built by keyword or in field order, read by attribute,
+    compared by value and shown by its repr."""
+
+    def test_keyword_construction_follows_field_order(self, record, values, others, text):
+        assert record(**values) == record(*values.values())
+
+    def test_attributes(self, record, values, others, text):
+        sample = record(**values)
+        assert {name: getattr(sample, name) for name in values} == values
+
+    def test_equal_by_value_and_unequal_when_one_field_differs(self, record, values, others, text):
+        assert record(**values) == record(**dict(values))
+        for name in values:
+            assert record(**{**values, name: others[name]}) != record(**values), name
+
+    def test_repr(self, record, values, others, text):
+        assert repr(record(**values)) == text
+
+
+@pytest.mark.parametrize(
+    "record, values, others", [(r, v, o) for r, v, o, _ in RECORDS if r in FROZEN],
+    ids=[record.__name__ for record in FROZEN],
+)
+def test_record_assignment_raises(record, values, others):
+    sample = record(**values)
+    for name in values:
+        with pytest.raises(AttributeError):
+            setattr(sample, name, others[name])
+    assert sample == record(**values)
+
+
+def test_default_render_options():
+    assert RenderOptions() == RenderOptions(by_layer=False, scope=None)
 
 
 def test_cli_import_does_not_load_typing():
