@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .measure import MeasurementReport, unique_movements
 from .model import (
@@ -43,10 +43,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    by_layer: bool = False
-    scope: str | None = None
+# by_layer adds the per-layer table to render_text; scope names the one
+# process that render_dot draws, or None for the whole system
+RenderOptions = namedtuple("RenderOptions", "by_layer scope", defaults=(False, None))
 
 
 # -- text ---------------------------------------------------------------------

@@ -22,7 +22,7 @@ side of a hybrid process for the work it actually performs.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .diagnostics import Diagnostic, has_errors
 from .model import (
@@ -30,7 +30,6 @@ from .model import (
     FunctionalProcess,
     KIND_ORDER,
     Model,
-    MovementKind,
     Nature,
     QUANTUM_KINDS,
     _resolution,
@@ -92,38 +91,17 @@ def unique_movements(
     return [process.movements[i] for i in _first_occurrences(process, dedup)]
 
 
-@dataclass(frozen=True)
-class ProcessMeasure:
-    name: str
-    layer: str
-    nature: Nature
-    qcfp: int
-    tally: dict[MovementKind, int]
-
-
-@dataclass(frozen=True)
-class LayerMeasure:
-    name: str
-    nature: Nature
-    qcfp: int
-
-
-@dataclass(frozen=True)
-class Totals:
-    total_qcfp: int
-    classical_qcfp: int
-    quantum_qcfp: int
-    classical_percent: str
-    quantum_percent: str
-
-
-@dataclass(frozen=True)
-class MeasurementReport:
-    system_name: str
-    per_process: tuple[ProcessMeasure, ...]
-    per_layer: tuple[LayerMeasure, ...]
-    totals: Totals
-    cfpv5_equivalent: bool
+# The report's records. tally maps every MovementKind, in KIND_ORDER, to its
+# count; the percents are percent() strings; per_process and per_layer are
+# tuples in declaration order.
+ProcessMeasure = namedtuple("ProcessMeasure", "name layer nature qcfp tally")
+LayerMeasure = namedtuple("LayerMeasure", "name nature qcfp")
+Totals = namedtuple(
+    "Totals", "total_qcfp classical_qcfp quantum_qcfp classical_percent quantum_percent"
+)
+MeasurementReport = namedtuple(
+    "MeasurementReport", "system_name per_process per_layer totals cfpv5_equivalent"
+)
 
 
 def percent(part: int, total: int) -> str:

@@ -58,7 +58,7 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .diagnostics import Diagnostic, Span, error, has_errors, warning
 from .model import (
@@ -290,16 +290,9 @@ class _Quoted(dict):
         return quoted
 
 
-@dataclass
-class ParseResult:
-    """Outcome of a parse: a model when clean, diagnostics always.
-
-    ``model`` is None whenever any error-severity diagnostic was produced;
-    warnings do not block.
-    """
-
-    model: Model | None
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+# The outcome of a parse: the model, or None whenever any error-severity
+# diagnostic was produced (warnings do not block), and the list of diagnostics.
+ParseResult = namedtuple("ParseResult", "model diagnostics")
 
 
 def parse_model(text: str, file: str = "<input>") -> ParseResult:
