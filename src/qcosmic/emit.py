@@ -28,6 +28,7 @@ from .model import (
     Model,
     Nature,
     QUANTUM_KINDS,
+    UnresolvedReferenceError,
     _resolution,
     process_nature,
 )
@@ -182,7 +183,8 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
     """DOT digraph of a model, or of a single process when scoped.
 
     Edge count for a scoped diagram equals the process's unique movement
-    count. Raises UnresolvedReferenceError when the scope names no process.
+    count. Raises UnresolvedReferenceError when the scope, or a name that the
+    diagram draws, is not declared.
     """
     opts = opts or RenderOptions()
     scoped: FunctionalProcess | None = None
@@ -236,8 +238,11 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
 
     if scoped is None:
         process_ids = ids[EndpointKind.PROCESS]
+        declared = {process.name for process in model.processes}
         for process in model.processes:
             for used in process.uses:
+                if used not in declared:
+                    raise UnresolvedReferenceError("process", used)
                 lines.append(
                     f"  {process_ids[process.name]} -> {process_ids[used]} "
                     "[label=uses, style=dashed, arrowhead=open];"

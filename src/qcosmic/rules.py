@@ -47,6 +47,7 @@ from .model import (
     Nature,
     QUANTUM_KINDS,
     STORAGE_KINDS,
+    UnresolvedReferenceError,
     _resolution,
     process_nature,  # noqa: F401  bench/tracing.py patches this name
     system_nature,
@@ -238,7 +239,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
 
     Tarjan's algorithm with an explicit stack of (node, successor iterator)
     frames, so a uses chain of any depth stays within Python's recursion
-    limit. Uses of undeclared names are not edges.
+    limit. A use of an undeclared name raises UnresolvedReferenceError.
     """
     order = [p.name for p in model.processes]
     edges = {p.name: p.uses for p in model.processes}
@@ -263,7 +264,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
             node, successors = frames[-1]
             for succ in successors:
                 if succ not in edges:
-                    continue
+                    raise UnresolvedReferenceError("process", succ)
                 if succ not in index:
                     visit(succ)
                     break

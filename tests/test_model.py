@@ -235,6 +235,16 @@ class TestUnresolvedReferences:
         model = dangling_model("user")
         assert '"process p"' in render_dot(model, RenderOptions(scope="p"))
 
+    def test_use_of_an_undeclared_process_raises(self):
+        model = small_model()
+        (p,) = model.processes
+        model = dataclasses.replace(model, processes=(dataclasses.replace(p, uses=("nope",)),))
+        for whole in (validate, measure_system, render_dot):
+            with pytest.raises(UnresolvedReferenceError) as exc:
+                whole(model)
+            assert (exc.value.category, exc.value.name) == ("process", "nope"), whole.__name__
+        assert "nope" not in render_dot(model, RenderOptions(scope="p"))
+
 
 LOOKUPS = ("layer", "user", "storage", "data_group", "process")
 

@@ -23,6 +23,7 @@ from qcosmic import (
     PersistentStorage,
     Severity,
     Span,
+    UnresolvedReferenceError,
     UnvalidatedModelError,
     data_group_nature,
     format_model,
@@ -214,11 +215,16 @@ class TestInvariants:
                 for name in names
             )
             model = Model(name="m", processes=processes)
+            if any("ghost" in p.uses for p in processes):
+                with pytest.raises(UnresolvedReferenceError, match="'ghost'"):
+                    _cycles(model)
+                shapes.add("dangling")
+                continue
             cycles = _cycles(model)
             assert cycles == brute_force_cycles(model)
             shapes.update(len(c) for c in cycles)
             shapes.add(f"{len(cycles)} cycles")
-        assert {1, 2, 3, "0 cycles", "2 cycles", "3 cycles"} <= shapes
+        assert {1, 2, 3, "0 cycles", "2 cycles", "3 cycles", "dangling"} <= shapes
 
     def test_determinism(self, factoring_text):
         model = parse_model(factoring_text).model
