@@ -1,4 +1,5 @@
-"""Every pipeline stage makes a constant number of calls per movement.
+"""Every pipeline stage makes a constant number of calls per movement, and the
+parse holds a constant number of bytes per token.
 
 ``cProfile`` counts every Python and built-in call exactly, the same on any
 machine, so a stage whose work grows faster than its input fails here where
@@ -13,13 +14,19 @@ a fixed length, so it cannot show work that is quadratic within a process;
 the wide model is one process whose movements, users and data groups all
 grow with the scale. Its names compare through a Python ``__eq__``, so a
 scan over names is counted even when a built-in such as ``in`` runs it.
+
+The ``tracemalloc`` peak of ``parse_model`` per token, after one warm-up
+parse, is held to the same bound for the four corpus families, so a parse
+that keeps more than a constant amount per token fails too.
 """
 
 from __future__ import annotations
 
 import cProfile
 import functools
+import gc
 import pstats
+import tracemalloc
 
 import pytest
 
@@ -136,4 +143,27 @@ def test_calls_per_movement_do_not_grow_with_scale(family, stage):
     assert large <= BOUND * small, (
         f"{family} {stage}: {small:.2f} calls per unit at {SCALES[0]}x, "
         f"{large:.2f} at {SCALES[1]}x"
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _peak_bytes_per_token(family: str, scale: int) -> float:
+    text = bench_corpus().FAMILIES[family](SEED, scale).source
+    tokens = len(tokenize(text)[0])
+    parse_model(text)  # fills what the first parse in a process builds once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        parse_model(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / tokens
+
+
+@pytest.mark.parametrize("family", ["text", "resolve", "bad-parse", "bad-rules"])
+def test_parse_peak_memory_per_token_does_not_grow_with_scale(family):
+    small, large = (_peak_bytes_per_token(family, scale) for scale in SCALES)
+    assert large <= BOUND * small, (
+        f"{family}: {small:.0f} bytes per token at {SCALES[0]}x, {large:.0f} at {SCALES[1]}x"
     )
