@@ -194,13 +194,15 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
     if model.is_empty():
         return f"digraph {quote(model.name)} {{\n}}\n"
 
+    index = model._index  # a name declared twice is drawn once, as first declared
+    processes = index["process"]
     if scoped is not None:
         users, storages, layers = _participants(scoped, model)
     else:
-        users = [(user.name, user.nature) for user in model.users]
-        storages = [(storage.name, storage.nature) for storage in model.storages]
-        layers = {layer: [] for layer in model.layers}
-        for process in model.processes:
+        users = [(user.name, user.nature) for user in index["user"].values()]
+        storages = [(storage.name, storage.nature) for storage in index["storage"].values()]
+        layers = {layer: [] for layer in index["layer"].values()}
+        for process in processes.values():
             layer = _resolution(process, model)[0]
             layers[layer].append((process.name, process_nature(process, model)))
 
@@ -234,14 +236,13 @@ def render_dot(model: Model, opts: RenderOptions | None = None) -> str:
             lines.append("    }")
         lines.append("  }")
 
-    _edges([scoped] if scoped else model.processes, ids, clusters, lines)
+    _edges([scoped] if scoped else processes.values(), ids, clusters, lines)
 
     if scoped is None:
         process_ids = ids[EndpointKind.PROCESS]
-        declared = {process.name for process in model.processes}
-        for process in model.processes:
+        for process in processes.values():
             for used in process.uses:
-                if used not in declared:
+                if used not in processes:
                     raise UnresolvedReferenceError("process", used)
                 lines.append(
                     f"  {process_ids[process.name]} -> {process_ids[used]} "

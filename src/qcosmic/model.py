@@ -15,14 +15,18 @@ explicitly; data groups and processes derive it:
 * the system is quantum iff any element is quantum.
 
 Name lookups (``Model.layer``, ``Model.data_group``, ...) go through an
-index that the model builds once, at construction; when a hand-built model
-declares a name twice, the first declaration wins, and ``validate`` reports
-S2 for the later one. Derived facts (the rule
+index that the model builds once, at construction: per category, each name
+maps to its first declaration, in declaration order. When a hand-built model
+declares a name twice, every lookup, every nature, the rule catalog and the
+diagram read the first declaration; only ``validate``'s S2, which reports
+the later one, and ``format_model`` see it. Derived facts (the rule
 catalog's findings, each data group's nature, and each declared process's
 nature, layer and movement resolution) are computed on first use and kept in
-a private per-model memo, which takes no part in equality or hashing;
-``dataclasses.replace`` gives the new model an empty one. The rules, the
-counter and the diagram all read that one resolution.
+a private per-model memo; ``dataclasses.replace`` gives the new model an
+empty one. The rules, the counter and the diagram all read that one
+resolution. The index and the memo are plain attributes, not dataclass
+fields, so equality, hashing, ``dataclasses.fields``, ``asdict`` and
+``astuple`` see only the declared fields.
 
 Everything here is immutable and hashable; all operations are pure.
 """
@@ -105,6 +109,16 @@ INBOUND_KINDS = frozenset({MovementKind.E, MovementKind.QE, MovementKind.R, Move
 #: Canonical column/tally order for reports.
 KIND_ORDER = tuple(MovementKind)
 
+#: The declaration categories, in source order: each keyword of the
+#: language mapped to the Model field that holds its declarations.
+CATEGORIES = {
+    "layer": "layers",
+    "user": "users",
+    "storage": "storages",
+    "datagroup": "data_groups",
+    "process": "processes",
+}
+
 
 class Conversion(_Tag):
     """Classical/quantum boundary conversion carried by a movement."""
@@ -181,7 +195,7 @@ class FunctionalProcess:
     span: Span | None = field(default=None, compare=False, repr=False)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Model:
     """A parsed system description. Declaration order is preserved."""
 
@@ -193,39 +207,30 @@ class Model:
     storages: tuple[PersistentStorage, ...] = ()
     data_groups: tuple[DataGroup, ...] = ()
     processes: tuple[FunctionalProcess, ...] = ()
-    # category -> name -> first declaration of that name
-    _index: dict = field(init=False, compare=False, repr=False)
-    # key -> derived fact, filled on first use (see _memo)
-    _derived: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
+        # category -> name -> first declaration of that name, in declaration order
+        index = {}
+        for category, attr in CATEGORIES.items():
+            names = index[category] = {}
+            for declared in getattr(self, attr):
+                names.setdefault(declared.name, declared)
+        object.__setattr__(self, "_index", index)
+        # key -> derived fact, filled on first use (see _memo)
         object.__setattr__(self, "_derived", {})
-        object.__setattr__(self, "_index", {
-            category: {d.name: d for d in reversed(declared)}
-            for category, declared in (
-                ("layer", self.layers),
-                ("user", self.users),
-                ("storage", self.storages),
-                ("datagroup", self.data_groups),
-                ("process", self.processes),
-            )
-        })
 
     def is_empty(self) -> bool:
-        return not (
-            self.layers or self.users or self.storages or self.data_groups or self.processes
-        )
+        return not any(self._index.values())
 
     def _memo(self, key, compute):
         """The fact stored under ``key``, computed by ``compute()`` on first use.
 
         Concurrent first uses may both compute it; the results are equal.
         """
-        try:
-            return self._derived[key]
-        except KeyError:
-            value = self._derived[key] = compute()
-            return value
+        derived = self._derived
+        if key not in derived:
+            derived[key] = compute()
+        return derived[key]
 
     def _lookup(self, category: str, name: str):
         found = self._index[category].get(name)
@@ -337,13 +342,14 @@ def _counterpart(endpoint: Endpoint, model: Model) -> tuple[Nature, Layer | None
 
 def system_nature(model: Model) -> Nature:
     """Quantum iff any layer, user, storage, data group, or process is quantum."""
-    for declared in (*model.layers, *model.users, *model.storages):
-        if declared.nature is Nature.QUANTUM:
-            return Nature.QUANTUM
-    for group in model.data_groups:
-        if data_group_nature(group) is Nature.QUANTUM:
-            return Nature.QUANTUM
-    for process in model.processes:
+    index = model._index
+    for category in ("layer", "user", "storage"):
+        for declared in index[category].values():
+            if declared.nature is Nature.QUANTUM:
+                return Nature.QUANTUM
+    if Nature.QUANTUM in _group_natures(model).values():
+        return Nature.QUANTUM
+    for process in index["process"].values():
         if process_nature(process, model) is Nature.QUANTUM:
             return Nature.QUANTUM
     return Nature.CLASSICAL

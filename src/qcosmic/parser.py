@@ -62,6 +62,7 @@ from collections import namedtuple
 
 from .diagnostics import Diagnostic, Span, error, has_errors, warning
 from .model import (
+    CATEGORIES,
     Attribute,
     Conversion,
     DataGroup,
@@ -143,7 +144,7 @@ MOVEMENT_KEYWORDS = {
     "qwrite": MovementKind.QW,
 }
 
-_DECL_KEYWORDS = frozenset({"layer", "user", "storage", "datagroup", "process"})
+_DECL_KEYWORDS = frozenset(CATEGORIES)
 # where recovery stops: the start of a top-level statement, or of an attribute
 _TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
 _ATTR_STARTERS = frozenset({"attr"})
@@ -334,9 +335,9 @@ class _Parser:
         self.failed = failed
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
-        self.declared: dict[str, dict[str, object]] = {category: {} for category in _DECL_KEYWORDS}
+        self.declared: dict[str, dict[str, object]] = {category: {} for category in CATEGORIES}
         # category -> position of the name of every reference, for resolution errors
-        self.references: dict[str, list[int]] = {category: [] for category in _DECL_KEYWORDS}
+        self.references: dict[str, list[int]] = {category: [] for category in CATEGORIES}
         # endpoint keyword -> name -> the one counterpart of that kind and name
         self.endpoints: dict[str, dict[str, Endpoint]] = {word: {} for word in _ENDPOINT_KINDS}
 
@@ -444,16 +445,12 @@ class _Parser:
             if self.kinds[self.pos] is not EOI:
                 self.error(f"unexpected content after system block: {self._describe(self.pos)}")
 
-        declared = {category: tuple(names.values()) for category, names in self.declared.items()}
         model = Model(
             name=self.texts[name],
             purpose=purpose,
             scope=scope,
-            layers=declared["layer"],
-            users=declared["user"],
-            storages=declared["storage"],
-            data_groups=declared["datagroup"],
-            processes=declared["process"],
+            **{CATEGORIES[category]: tuple(names.values())
+               for category, names in self.declared.items()},
         )
         if model.is_empty():
             message = "empty system: no declarations"

@@ -26,8 +26,9 @@ which is then sorted: S2 from the declarations; R1 and P3 from the
 system's nature; one sweep over the processes and their movements, which
 applies P1 to each process and R2-R8 to each movement and collects what P2
 reports after it; and R9 from the cycles of the uses graph. A parsed model
-never holds a duplicate, so S2 reaches only a model built by hand; every
-later stage can then rely on one declaration per name.
+never holds a duplicate, so S2 reaches only a model built by hand; only S2
+reads the later declarations of a name, and every other step reads its
+first one through the model's index.
 
 Codes are stable across releases. Every rule is a pure function of the
 model, so identical models always yield the identical diagnostic sequence.
@@ -40,6 +41,7 @@ from collections.abc import Iterator
 from .diagnostics import Diagnostic, error, sort_key, warning
 from .formatter import format_movement
 from .model import (
+    CATEGORIES,
     Conversion,
     EndpointKind,
     Model,
@@ -70,7 +72,7 @@ def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
     found: list[Diagnostic] = []
     _duplicates(model, found)
     if system_nature(model) is Nature.QUANTUM:
-        natures = {layer.nature for layer in model.layers}
+        natures = {layer.nature for layer in model._index["layer"].values()}
         if Nature.CLASSICAL not in natures or Nature.QUANTUM not in natures:
             found.append(error(
                 "R1",
@@ -95,15 +97,9 @@ def _duplicates(model: Model, found: list[Diagnostic]) -> None:
 
     An attribute has no span of its own, so its S2 carries its data group's.
     """
-    for category, declared in (
-        ("layer", model.layers),
-        ("user", model.users),
-        ("storage", model.storages),
-        ("datagroup", model.data_groups),
-        ("process", model.processes),
-    ):
+    for category, attr in CATEGORIES.items():
         seen: set[str] = set()
-        for decl in declared:
+        for decl in getattr(model, attr):
             if decl.name in seen:
                 message = f"duplicate {category} name {decl.name!r}"
                 found.append(error("S2", message, decl.name, decl.span))
@@ -138,7 +134,8 @@ def _sweep(model: Model, found: list[Diagnostic]) -> None:
             code, f"{format_movement(movement)}: {message}", process.name, movement.span
         ))
 
-    for process in model.processes:
+    index = model._index
+    for process in index["process"].values():
         layer, groups, counterparts = _resolution(process, model)
         if not process.movements:
             found.append(warning(
@@ -224,10 +221,10 @@ def _sweep(model: Model, found: list[Diagnostic]) -> None:
                     "declare each inter-process movement exactly once"
                 ))
 
-    for group in model.data_groups:
+    for group in index["datagroup"].values():
         if group.name not in moved_groups:
             found.append(warning("P2", "data group is never moved", group.name, group.span))
-    for storage in model.storages:
+    for storage in index["storage"].values():
         if storage.name not in moved_storages:
             found.append(
                 warning("P2", "storage is never read or written", storage.name, storage.span)
@@ -241,8 +238,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
     frames, so a uses chain of any depth stays within Python's recursion
     limit. A use of an undeclared name raises UnresolvedReferenceError.
     """
-    order = [p.name for p in model.processes]
-    edges = {p.name: p.uses for p in model.processes}
+    edges = {name: p.uses for name, p in model._index["process"].items()}
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -256,7 +252,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
         on_stack.add(node)
         frames.append((node, iter(edges[node])))
 
-    for root in order:
+    for root in edges:
         if root in index:
             continue
         visit(root)
@@ -286,7 +282,7 @@ def _cycles(model: Model) -> list[tuple[str, ...]]:
                     components.append(component)
 
     cycles: list[tuple[str, ...]] = []
-    position = {name: i for i, name in enumerate(order)}
+    position = {name: i for i, name in enumerate(edges)}
     for component in components:
         if len(component) > 1 or component[0] in edges[component[0]]:
             cycles.append(tuple(sorted(component, key=position.__getitem__)))

@@ -386,6 +386,58 @@ def dangling_model(category: str) -> Model:
     )
 
 
+_OTHER = {Nature.CLASSICAL: Nature.QUANTUM, Nature.QUANTUM: Nature.CLASSICAL}
+
+# the model's declaration fields, spelled here apart from qcosmic's own table
+_DECLARATIONS = ("layers", "users", "storages", "data_groups", "processes")
+
+
+def repeat_declarations(rng: random.Random, model: Model) -> Model:
+    """``model`` with a copy of one declaration inserted anywhere in its category.
+
+    The copy is verbatim or has its nature flipped: a layer, user or storage
+    takes the other nature, a data group gains or loses its quantum
+    attributes, and a process moves to a layer of the other nature. A
+    process's copy may instead have its uses or its movements edited. Every
+    name the copy references is declared.
+    """
+    field = rng.choice([field for field in _DECLARATIONS if getattr(model, field)])
+    declared = getattr(model, field)
+    copy = rng.choice(declared)
+    edit = rng.choice(("verbatim", "nature", "uses", "movements"))
+    if edit == "nature" and field == "data_groups":
+        classical = tuple(a for a in copy.attributes if a.nature is Nature.CLASSICAL)
+        if classical == copy.attributes:
+            classical += (Attribute("flipped_q", Nature.QUANTUM),)
+        copy = dataclasses.replace(copy, attributes=classical)
+    elif edit == "nature" and field == "processes":
+        nature = model.layer(copy.layer).nature
+        layers = [l for l in model.layers if l.nature is not nature] or model.layers
+        copy = dataclasses.replace(copy, layer=rng.choice(layers).name)
+    elif edit == "nature":
+        copy = dataclasses.replace(copy, nature=_OTHER[copy.nature])
+    elif edit == "uses" and field == "processes":
+        names = [p.name for p in model.processes]
+        copy = dataclasses.replace(copy, uses=tuple(rng.sample(names, rng.randint(0, len(names)))))
+    elif edit == "movements" and field == "processes":
+        movements = [m for p in model.processes for m in p.movements]
+        count = rng.randint(0, min(len(movements), 6))
+        copy = dataclasses.replace(copy, movements=tuple(rng.sample(movements, count)))
+    at = rng.randint(0, len(declared))
+    return dataclasses.replace(model, **{field: declared[:at] + (copy,) + declared[at:]})
+
+
+def first_declarations(model: Model) -> Model:
+    """``model`` without the later declarations of any name."""
+    firsts = {}
+    for field in _DECLARATIONS:
+        names: dict[str, object] = {}
+        for declared in getattr(model, field):
+            names.setdefault(declared.name, declared)
+        firsts[field] = tuple(names.values())
+    return dataclasses.replace(model, **firsts)
+
+
 def hostile_texts(seed: int = 17, count: int = 400) -> list[str]:
     """Short random strings of keywords and lexer-hostile characters."""
     rng = random.Random(seed)

@@ -171,6 +171,8 @@ def test_hand_built_models_that_validate_round_trip_and_measure(model):
         findings = validate(model)
     except UnresolvedReferenceError:
         return
+    nodes = [m[1] for m in map(_DOT_NODE.match, render_dot(model).split("\n")) if m]
+    assert len(nodes) == len(set(nodes))
     if any(f.code == "S2" for f in findings):
         return  # a name declared twice has no source text of its own
     attributes = [a.name for g in model.data_groups for a in g.attributes]
@@ -183,8 +185,6 @@ def test_hand_built_models_that_validate_round_trip_and_measure(model):
     assert not has_errors(result.diagnostics), [d.render() for d in result.diagnostics]
     assert result.model == model
     assert format_model(result.model) == text
-    nodes = [m[1] for m in map(_DOT_NODE.match, render_dot(model).split("\n")) if m]
-    assert len(nodes) == len(set(nodes))
     if not has_errors(findings):
         report = measure_system(model)
         assert sum(layer.qcfp for layer in report.per_layer) == report.totals.total_qcfp

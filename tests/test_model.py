@@ -26,6 +26,7 @@ from qcosmic import (
     RenderOptions,
     Span,
     UnresolvedReferenceError,
+    UnvalidatedModelError,
     data_group_nature,
     measure_system,
     process_nature,
@@ -34,7 +35,7 @@ from qcosmic import (
     validate,
 )
 from qcosmic.model import QUANTUM_KINDS
-from gen import DANGLING, dangling_model, random_model
+from gen import DANGLING, dangling_model, first_declarations, random_model, repeat_declarations
 from oracles import brute_force_process_nature, brute_force_system_nature
 
 C, Q = Nature.CLASSICAL, Nature.QUANTUM
@@ -202,6 +203,17 @@ class TestDerivedFacts:
         assert hash(fresh) == hash(used)
         assert "_derived" not in repr(used)
 
+    def test_the_dataclass_interface_is_the_declarations(self, factoring_model):
+        assert [f.name for f in dataclasses.fields(Model)] == [
+            "name", "purpose", "scope", "layers", "users", "storages", "data_groups", "processes",
+        ]
+        before = dataclasses.asdict(factoring_model), dataclasses.astuple(factoring_model)
+        validate(factoring_model)
+        measure_system(factoring_model)
+        render_dot(factoring_model)
+        after = dataclasses.asdict(factoring_model), dataclasses.astuple(factoring_model)
+        assert after == before
+
 
 class TestUnresolvedReferences:
     """Hand-built models may name what they never declare; parsed ones cannot."""
@@ -231,6 +243,22 @@ class TestUnresolvedReferences:
             render_dot(dangling_model(category), RenderOptions(scope=scope))
         assert (exc.value.category, exc.value.name) == (category, "nope")
 
+    @pytest.mark.parametrize("category", DANGLING)
+    def test_raised_error_chains_no_other_exception(self, category):
+        model = dangling_model(category)
+        calls = [
+            lambda: validate(model),
+            lambda: measure_system(model),
+            lambda: render_dot(model),
+            lambda: render_dot(model, RenderOptions(scope="q")),
+        ]
+        if category == "datagroup":  # a counterpart takes no part in the process's nature
+            calls.append(lambda: process_nature(model.processes[1], model))
+        for call in calls:
+            with pytest.raises(UnresolvedReferenceError) as exc:
+                call()
+            assert exc.value.__context__ is None
+
     def test_scoped_diagram_resolves_only_its_process(self):
         model = dangling_model("user")
         assert '"process p"' in render_dot(model, RenderOptions(scope="p"))
@@ -244,6 +272,23 @@ class TestUnresolvedReferences:
                 whole(model)
             assert (exc.value.category, exc.value.name) == ("process", "nope"), whole.__name__
         assert "nope" not in render_dot(model, RenderOptions(scope="p"))
+
+
+def test_a_repeated_name_reads_as_its_first_declaration():
+    """Metamorphic: declaring a name again changes nothing but S2."""
+    rng = random.Random(3)
+    for _ in range(300):
+        model = repeat_declarations(rng, random_model(rng, max_processes=5, max_movements=6))
+        first = first_declarations(model)
+        findings = [
+            d for d in validate(model)
+            if d.code != "S2" or d.message.startswith("duplicate attribute")
+        ]
+        assert findings == validate(first)
+        assert render_dot(model) == render_dot(first)
+        assert system_nature(model) is system_nature(first)
+        with pytest.raises(UnvalidatedModelError):
+            measure_system(model)
 
 
 LOOKUPS = ("layer", "user", "storage", "data_group", "process")
