@@ -10,6 +10,7 @@ model. Formatting is idempotent.
 from __future__ import annotations
 
 from .model import (
+    CATEGORIES,
     Conversion,
     DataGroup,
     DataMovement,
@@ -17,7 +18,7 @@ from .model import (
     INBOUND_KINDS,
     Model,
 )
-from .parser import MOVEMENT_KEYWORDS, _WORD_RULE, _Quoted, quote
+from .parser import MOVEMENT_KEYWORDS, _SIMPLE_DECLS, _WORD_RULE, _Quoted, quote
 
 __all__ = ["format_model", "format_movement"]
 
@@ -46,11 +47,8 @@ def format_model(model: Model) -> str:
     if header:
         sections.append(header)
 
-    for category, declared in (
-        ("layer", model.layers),
-        ("user", model.users),
-        ("storage", model.storages),
-    ):
+    for category in _SIMPLE_DECLS:
+        declared = getattr(model, CATEGORIES[category])
         if declared:
             sections.append(
                 [f"  {category} {d.nature._value_} {names[d.name]}" for d in declared]

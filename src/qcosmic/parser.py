@@ -37,15 +37,18 @@ and ``expect`` takes it, so every S1 that expects a token reads
 ``expected <what>, found <token>``. A movement, the most frequent
 statement, tests its tokens in place in the order ``expect`` would take
 them and reports the same S1s. A failure reports its S1 and raises
-``_Failed``, which the one recovery point of its block catches, so a single
-run reports multiple errors. There are five: ``parse`` returns no model when
-``system "name" {`` fails; a failed declaration or process header skips to
-the next top-level statement, and so does a failed ``purpose`` or ``scope``
-string; a failed attribute skips to the next attribute of its data group;
-and a failed movement skips to the next movement of its process, as a token
-that starts no movement does. A model is
-only returned when no error-severity diagnostic was produced; in particular
-every reference in a returned model resolves. After its first error, the
+``_Failed``, which a recovery point catches, so a single run reports
+multiple errors. ``parse`` returns no model when ``system "name" {`` fails.
+A failed declaration, process header, ``purpose`` or ``scope`` string skips
+to the next top-level statement. Data-group and process bodies recover
+through one routine, ``_parse_body``: a token that starts no attribute or
+movement is reported once, as ``expected <what>, found <token>``, and it or
+a failed item skips to the next item, the block's ``}``, a declaration
+keyword or the end of input. A declaration keyword or the end of input ends
+the block, and the block is declared with the items that parsed, so an
+error inside it never drops the declaration. A model is only returned when
+no error-severity diagnostic was produced; in particular every reference
+in a returned model resolves. After its first error, the
 parser still checks the syntax of every statement and collects every
 reference, but builds no movements.
 
@@ -145,21 +148,14 @@ MOVEMENT_KEYWORDS = {
 }
 
 _DECL_KEYWORDS = frozenset(CATEGORIES)
-# where recovery stops: the start of a top-level statement, or of an attribute
+# where top-level recovery stops: the start of a top-level statement
 _TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
-_ATTR_STARTERS = frozenset({"attr"})
-_MOVEMENT_STARTERS = frozenset(MOVEMENT_KEYWORDS)
 _KEYWORD_TEXTS = {word: word for word in KEYWORDS}  # the one string per keyword
 _SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
-_NATURES = {"classical": Nature.CLASSICAL, "quantum": Nature.QUANTUM}
-_ENDPOINT_KINDS = {
-    "user": EndpointKind.USER,
-    "storage": EndpointKind.STORAGE,
-    "process": EndpointKind.PROCESS,
-    "layer": EndpointKind.LAYER,
-}
+_NATURES = {nature._value_: nature for nature in Nature}
+_ENDPOINT_KINDS = {kind._value_: kind for kind in EndpointKind}
 _DIRECTIONS = frozenset({"from", "to"})
-_CONVERSIONS = {"prepare": Conversion.PREPARE, "measure": Conversion.MEASURE}
+_CONVERSIONS = {c._value_: c for c in Conversion if c is not Conversion.NONE}
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _NEWLINE = re.compile(r"\r\n?|\n")
@@ -482,22 +478,13 @@ class _Parser:
         name = self.expect("datagroup name string")
         self.expect("'{'", "{")
         attributes: dict[str, Attribute] = {}
-        while not self.at_end():
-            try:
-                self._parse_attr(attributes)
-            except _Failed:
-                if not self._sync_body(_ATTR_STARTERS):
-                    return
-        if self.at("}"):
-            self.advance()
-        else:
-            self.error("expected '}' to close the datagroup block")
+        self._parse_body(("attr",), self._parse_attr, attributes, "'attr' or '}'")
         group = DataGroup(self.texts[name], tuple(attributes.values()), self.span(name))
         self.declare("datagroup", group)
 
     def _parse_attr(self, attributes: dict[str, Attribute]) -> None:
         """Read ``attr NAME : nature`` into ``attributes``."""
-        self.expect("'attr' or '}'", "attr")
+        self.advance()
         attr = self.pos
         if self.kinds[attr] not in (IDENT, KEYWORD):
             self._expected(attr, "attribute name")
@@ -513,30 +500,10 @@ class _Parser:
     def _parse_process(self) -> None:
         self.advance()
         name, layer, uses = self._parse_process_header()
-        kinds, texts = self.kinds, self.texts
         movements: list[DataMovement] = []
-        failed_at = -1  # where the last failed movement stopped; it reported there
-        while not self.at_end():
-            pos = self.pos
-            if kinds[pos] is KEYWORD and texts[pos] in MOVEMENT_KEYWORDS:
-                try:
-                    self._parse_movement(movements)
-                except _Failed:
-                    failed_at = self.pos
-            elif kinds[pos] is KEYWORD and texts[pos] in _DECL_KEYWORDS:
-                # a declaration keyword here means the closing brace is missing
-                self.error("expected '}' to close the process block before this declaration")
-                break
-            else:
-                if pos != failed_at:
-                    self.error(f"expected a movement or '}}', found {self._describe(pos)}")
-                if not self._sync_body(_MOVEMENT_STARTERS):
-                    return
-        if self.at("}"):
-            self.advance()
-
+        self._parse_body(MOVEMENT_KEYWORDS, self._parse_movement, movements, "a movement or '}'")
         process = FunctionalProcess(
-            texts[name], texts[layer], tuple(movements), tuple(uses), self.span(name)
+            self.texts[name], self.texts[layer], tuple(movements), tuple(uses), self.span(name)
         )
         self.declare("process", process)
 
@@ -612,18 +579,32 @@ class _Parser:
         while not self.at_end() and not self.at(*_TOP_LEVEL_STARTERS):
             self.advance()
 
-    def _sync_body(self, starters: frozenset[str]) -> bool:
-        """Skip within a block body; False when the block was abandoned."""
-        while self.kinds[self.pos] is not EOI:
-            if self.at(*starters):
-                return True
-            if self.at("}"):
+    def _parse_body(self, starters, parse_item, items, what: str) -> None:
+        """Parse a block's items into ``items``, then take its ``}`` if it is there.
+
+        A keyword in ``starters`` is parsed by ``parse_item(items)``. Any other
+        token is reported as ``expected {what}, found {token}``, unless a failed
+        item has just reported there. Either error skips to the next starter,
+        ``}``, declaration keyword or end of input; a declaration keyword ends
+        the block, whose caller declares it with the items that parsed.
+        """
+        kinds, texts = self.kinds, self.texts
+        while not self.at_end():
+            pos = self.pos
+            if kinds[pos] is KEYWORD and texts[pos] in starters:
+                try:
+                    parse_item(items)
+                    continue
+                except _Failed:
+                    pass
+            else:
+                self.error(f"expected {what}, found {self._describe(pos)}")
+            while not (self.at_end() or self.at(*starters) or self.at(*_DECL_KEYWORDS)):
                 self.advance()
-                return False
             if self.at(*_DECL_KEYWORDS):
-                return False
+                break
+        if self.at("}"):
             self.advance()
-        return False
 
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:

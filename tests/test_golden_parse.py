@@ -44,8 +44,6 @@ TEMPLATES = {
     ] + [
         r"'(purpose|scope)' must appear before declarations",
         r"expected '}' to close the system block",
-        r"expected '}' to close the datagroup block",
-        r"expected '}' to close the process block before this declaration",
         r"unexpected content after system block: .+",
     ],
     "S2": [

@@ -378,11 +378,66 @@ class TestParseModel:
         ]
 
     def test_unclosed_blocks_each_report_at_end_of_input(self):
-        result = parse_model('system "S" { datagroup "g" {')
-        assert [d.message for d in result.diagnostics] == [
-            "expected '}' to close the datagroup block",
-            "expected '}' to close the system block",
+        # the end of input ends the block and the system; only the system reports
+        for block in ('datagroup "g" {', 'layer classical "l" process "p" in layer "l" {'):
+            result = parse_model('system "S" { ' + block)
+            assert [d.message for d in result.diagnostics] == [
+                "expected '}' to close the system block",
+            ]
+
+    @pytest.mark.parametrize(
+        ("group", "movement", "error"),
+        [
+            ("attr a: classical attr b classical", 'entry "g" from layer "l"',
+             ("S1", "expected ':', found 'classical'", 3, 44)),
+            ("attr a: classical", 'entry "g" from layer "l" exit "g" to usr "u"',
+             ("S1", "expected 'user', 'storage', 'process', or 'layer', found 'usr'", 4, 67)),
+        ],
+        ids=["last-attribute", "last-movement"],
+    )
+    def test_a_syntax_error_in_a_blocks_last_item_keeps_the_block(self, group, movement, error):
+        text = (
+            'system "S" {\n  layer classical "l"\n'
+            '  datagroup "g" { ' + group + " }\n"
+            '  process "p" in layer "l" { ' + movement + " }\n"
+            '  process "q" in layer "l" uses "p" { read "g" from process "p" }\n}\n'
+        )
+        result = parse_model(text)
+        # no S3 for the group or the process: both are declared
+        assert [(d.code, d.message, d.span.line, d.span.column) for d in result.diagnostics] == [
+            error
         ]
+
+    def test_a_failed_only_declaration_leaves_the_system_not_empty(self):
+        result = parse_model('system "S" { datagroup "g" { attr a classical } }')
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("S1", "expected ':', found 'classical'"),
+        ]
+
+    def test_a_stray_token_after_the_last_attribute_keeps_the_group(self):
+        result = parse_model(
+            'system "S" { layer classical "l" datagroup "g" { attr a: classical, } '
+            'process "p" in layer "l" { entry "g" from layer "l" } }'
+        )
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("S1", "expected 'attr' or '}', found ','"),
+        ]
+
+    def test_a_movement_without_direction_reports_once_at_the_endpoint_keyword(self):
+        # the endpoint keyword ``user`` is also a declaration keyword, so it
+        # ends the process; it is reported once, by the failed movement
+        text = (
+            'system "S" {\n  layer classical "l"\n  user classical "u"\n'
+            '  user classical "x"\n  datagroup "g" { attr a: classical }\n'
+            '  process "p" in layer "l" {\n    entry "g" user "u"\n'
+            '    exit "g" to user "x"\n    read "g" from user "x"\n'
+            '    write "g" to user "x"\n  }\n'
+            '  process "q" in layer "l" uses "p" { entry "g" from process "p" }\n}\n'
+        )
+        diagnostics = parse_model(text).diagnostics
+        assert [d.code for d in diagnostics] == ["S1"] * 6
+        at_user = [d.message for d in diagnostics if (d.span.line, d.span.column) == (7, 15)]
+        assert at_user == ["expected 'from' or 'to', found 'user'"]
 
     def test_recovery_never_leaves_dangling_references(self):
         # even with syntax errors, any returned model must resolve; broken
