@@ -39,18 +39,20 @@ statement, tests its tokens in place in the order ``expect`` would take
 them and reports the same S1s. A failure reports its S1 and raises
 ``_Failed``, which a recovery point catches, so a single run reports
 multiple errors. ``parse`` returns no model when ``system "name" {`` fails.
-A failed declaration, process header, ``purpose`` or ``scope`` string skips
-to the next top-level statement. Data-group and process bodies recover
-through one routine, ``_parse_body``: a token that starts no attribute or
-movement is reported once, as ``expected <what>, found <token>``, and it or
-a failed item skips to the next item, the block's ``}``, a declaration
-keyword or the end of input. A declaration keyword or the end of input ends
-the block, and the block is declared with the items that parsed, so an
-error inside it never drops the declaration. A model is only returned when
-no error-severity diagnostic was produced; in particular every reference
-in a returned model resolves. After its first error, the
-parser still checks the syntax of every statement and collects every
-reference, but builds no movements.
+Every block body, the system block's as well as a data group's or a
+process's, recovers through one routine, ``_parse_body``: a token that
+starts no statement, attribute or movement is reported once, as
+``expected <what>, found <token>``, and it or a failed item skips to the
+next item, the block's ``}``, a declaration keyword or the end of input.
+A declaration keyword also ends a data group or process, which is declared
+with the items that parsed, so an error inside it never drops the
+declaration. ``purpose`` and ``scope`` are headers until the first
+declaration keyword and misplaced after it. A movement that lacks only its
+``from`` or ``to`` reports that one S1 and reads on as if it were there.
+A model is only returned when no error-severity diagnostic was produced; in
+particular every reference in a returned model resolves. After its first
+error, the parser still checks the syntax of every statement and collects
+every reference, but builds no movements.
 
 Diagnostic codes: L1 lexical error, S1 syntax error, S2 duplicate
 declaration, S3 unresolved reference, W1 empty system (warning).
@@ -148,7 +150,7 @@ MOVEMENT_KEYWORDS = {
 }
 
 _DECL_KEYWORDS = frozenset(CATEGORIES)
-# where top-level recovery stops: the start of a top-level statement
+# the start of a statement of the system block
 _TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
 _KEYWORD_TEXTS = {word: word for word in KEYWORDS}  # the one string per keyword
 _SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
@@ -329,6 +331,8 @@ class _Parser:
         self.lines = lines
         self.pos = 0
         self.failed = failed
+        # a declaration keyword has been read, so a later header is misplaced
+        self.declaring = False
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in CATEGORIES}
@@ -415,36 +419,16 @@ class _Parser:
         except _Failed:
             return None
 
-        purpose, scope = self._parse_headers()
-        while not self.at_end():
-            try:
-                if self.at(*_SIMPLE_DECLS):
-                    self._parse_simple_decl()
-                elif self.at("datagroup"):
-                    self._parse_datagroup()
-                elif self.at("process"):
-                    self._parse_process()
-                elif self.at("purpose", "scope"):
-                    self.error(f"{self.texts[self.pos]!r} must appear before declarations")
-                    self.advance()
-                    if self.kinds[self.pos] is STRING:
-                        self.advance()
-                else:
-                    self._expected(self.pos, "a declaration")
-            except _Failed:
-                self._sync_top_level()
-
-        if self.kinds[self.pos] is EOI:
+        headers: dict[str, str] = {}
+        if not self._parse_body(_TOP_LEVEL_STARTERS, self._parse_statement, headers, "a declaration"):
             self.error("expected '}' to close the system block")
-        else:
-            self.advance()
-            if self.kinds[self.pos] is not EOI:
-                self.error(f"unexpected content after system block: {self._describe(self.pos)}")
+        elif self.kinds[self.pos] is not EOI:
+            self.error(f"unexpected content after system block: {self._describe(self.pos)}")
 
         model = Model(
             name=self.texts[name],
-            purpose=purpose,
-            scope=scope,
+            purpose=headers.get("purpose", ""),
+            scope=headers.get("scope", ""),
             **{CATEGORIES[category]: tuple(names.values())
                for category, names in self.declared.items()},
         )
@@ -453,19 +437,32 @@ class _Parser:
             self.diagnostics.append(warning("W1", message, model.name, self.span(name)))
         return model
 
-    def _parse_headers(self) -> tuple[str, str]:
-        headers: dict[str, str] = {}
-        while self.at("purpose", "scope"):
-            word = self.texts[self.advance()]
-            try:
-                value = self.expect(f"{word} string")
-            except _Failed:
-                self._sync_top_level()
-                continue
+    def _parse_statement(self, headers: dict[str, str]) -> None:
+        """Read one statement of the system block: a declaration or a header.
+
+        ``purpose`` and ``scope`` are read into ``headers`` until the first
+        declaration keyword; after it, each is reported and its string skipped.
+        """
+        word = self.texts[self.pos]
+        if word in _DECL_KEYWORDS:
+            self.declaring = True
+            if word in _SIMPLE_DECLS:
+                self._parse_simple_decl()
+            elif word == "datagroup":
+                self._parse_datagroup()
+            else:
+                self._parse_process()
+        elif self.declaring:
+            self.error(f"{word!r} must appear before declarations")
+            self.advance()
+            if self.kinds[self.pos] is STRING:
+                self.advance()
+        else:
+            self.advance()
+            value = self.expect(f"{word} string")
             if word in headers:
                 self.duplicate(f"{word} header", word, self.span(value))
             headers[word] = self.texts[value]
-        return headers.get("purpose", ""), headers.get("scope", "")
 
     def _parse_simple_decl(self) -> None:
         category = self.texts[self.advance()]
@@ -541,7 +538,12 @@ class _Parser:
         if kinds[group] is not STRING:
             self._expected(group, "data group string")
         if texts[direction] not in _DIRECTIONS or kinds[direction] is STRING:
-            self._expected(direction, "'from' or 'to'")
+            self.pos = direction
+            self.error(f"expected 'from' or 'to', found {self._describe(direction)}")
+            if texts[direction] not in _ENDPOINT_KINDS or kinds[direction] is STRING:
+                raise _Failed
+            # only the preposition is missing: read on as if it were there
+            endpoint, name = direction, direction + 1
         if texts[endpoint] not in _ENDPOINT_KINDS or kinds[endpoint] is STRING:
             self._expected(endpoint, "'user', 'storage', 'process', or 'layer'")
         if kinds[name] is not STRING:
@@ -574,19 +576,15 @@ class _Parser:
 
     # -- recovery -----------------------------------------------------------
 
-    def _sync_top_level(self) -> None:
-        """Skip to the next top-level statement boundary."""
-        while not self.at_end() and not self.at(*_TOP_LEVEL_STARTERS):
-            self.advance()
-
-    def _parse_body(self, starters, parse_item, items, what: str) -> None:
+    def _parse_body(self, starters, parse_item, items, what: str) -> bool:
         """Parse a block's items into ``items``, then take its ``}`` if it is there.
 
         A keyword in ``starters`` is parsed by ``parse_item(items)``. Any other
         token is reported as ``expected {what}, found {token}``, unless a failed
         item has just reported there. Either error skips to the next starter,
-        ``}``, declaration keyword or end of input; a declaration keyword ends
-        the block, whose caller declares it with the items that parsed.
+        ``}``, declaration keyword or end of input; a declaration keyword that
+        is not a starter ends the block, whose caller declares it with the
+        items that parsed. Returns whether the block's ``}`` was taken.
         """
         kinds, texts = self.kinds, self.texts
         while not self.at_end():
@@ -601,10 +599,12 @@ class _Parser:
                 self.error(f"expected {what}, found {self._describe(pos)}")
             while not (self.at_end() or self.at(*starters) or self.at(*_DECL_KEYWORDS)):
                 self.advance()
-            if self.at(*_DECL_KEYWORDS):
+            if self.at(*_DECL_KEYWORDS) and not self.at(*starters):
                 break
-        if self.at("}"):
-            self.advance()
+        if not self.at("}"):
+            return False
+        self.advance()
+        return True
 
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:

@@ -285,7 +285,9 @@ class TestParseModel:
     def test_header_after_declaration_is_an_error(self):
         result = parse_model('system "S" { layer classical "A" purpose "late" }')
         assert result.model is None
-        assert any(d.code == "S1" for d in result.diagnostics)
+        assert [(d.code, d.message) for d in result.diagnostics] == [
+            ("S1", "'purpose' must appear before declarations"),
+        ]
 
     def test_unresolved_references_are_reported(self):
         # every category interleaved with the others: the S3s come in text order
@@ -423,21 +425,33 @@ class TestParseModel:
             ("S1", "expected 'attr' or '}', found ','"),
         ]
 
-    def test_a_movement_without_direction_reports_once_at_the_endpoint_keyword(self):
-        # the endpoint keyword ``user`` is also a declaration keyword, so it
-        # ends the process; it is reported once, by the failed movement
-        text = (
+    @staticmethod
+    def _missing_preposition(user: str):
+        # the endpoint keyword ``user`` stands where ``from`` or ``to`` belongs
+        return parse_model(
             'system "S" {\n  layer classical "l"\n  user classical "u"\n'
             '  user classical "x"\n  datagroup "g" { attr a: classical }\n'
             '  process "p" in layer "l" {\n    entry "g" user "u"\n'
-            '    exit "g" to user "x"\n    read "g" from user "x"\n'
+            '    exit "g" to user "x"\n    read "g" from user ' + user + '\n'
             '    write "g" to user "x"\n  }\n'
             '  process "q" in layer "l" uses "p" { entry "g" from process "p" }\n}\n'
         )
-        diagnostics = parse_model(text).diagnostics
-        assert [d.code for d in diagnostics] == ["S1"] * 6
-        at_user = [d.message for d in diagnostics if (d.span.line, d.span.column) == (7, 15)]
-        assert at_user == ["expected 'from' or 'to', found 'user'"]
+
+    def test_a_movement_without_direction_reports_once_at_the_endpoint_keyword(self):
+        # one S1 there, and the movement reads on as if the preposition were there
+        result = self._missing_preposition('"x"')
+        assert result.model is None
+        assert [(d.code, d.message, d.span.line, d.span.column) for d in result.diagnostics] == [
+            ("S1", "expected 'from' or 'to', found 'user'", 7, 15),
+        ]
+
+    def test_a_movement_without_direction_keeps_the_later_references(self):
+        # the process keeps its later movements, so an undeclared user gets its S3
+        result = self._missing_preposition('"nobody"')
+        assert [(d.code, d.message, d.span.line, d.span.column) for d in result.diagnostics] == [
+            ("S1", "expected 'from' or 'to', found 'user'", 7, 15),
+            ("S3", "unresolved user reference 'nobody'", 9, 24),
+        ]
 
     def test_recovery_never_leaves_dangling_references(self):
         # even with syntax errors, any returned model must resolve; broken
@@ -449,11 +463,31 @@ class TestParseModel:
     def test_missing_closing_brace(self):
         result = parse_model('system "S" { layer classical "A"')
         assert result.model is None
-        assert any("close the system block" in d.message for d in result.diagnostics)
+        assert [d.message for d in result.diagnostics] == ["expected '}' to close the system block"]
 
     def test_trailing_content_is_an_error(self):
         result = parse_model('system "S" {} layer')
         assert result.model is None
+        assert [d.message for d in result.diagnostics if d.code == "S1"] == [
+            "unexpected content after system block: 'layer'"
+        ]
+
+    @pytest.mark.parametrize("declaration", ["layer quantum", "datagroup"])
+    def test_a_header_after_a_failed_declaration_is_misplaced(self, declaration):
+        # a failed declaration still ends the headers
+        result = parse_model(f'system "S" {{ {declaration} purpose "Q" }}')
+        assert "'purpose' must appear before declarations" in [
+            d.message for d in result.diagnostics
+        ]
+
+    def test_headers_after_a_stray_token_are_read_as_headers(self):
+        # no declaration keyword came before them: the repeated ``scope`` is
+        # a duplicate header, not a misplaced one
+        result = parse_model('system "S" { "a" purpose "b" scope "c" scope "d" layer classical "L" }')
+        assert [(d.code, d.message, d.span.column) for d in result.diagnostics] == [
+            ("S1", 'expected a declaration, found string "a"', 14),
+            ("S2", "duplicate scope header name 'scope'", 46),
+        ]
 
     def test_determinism(self, factoring_text):
         first = parse_model(factoring_text, file="f.qcm")
