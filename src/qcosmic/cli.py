@@ -76,8 +76,8 @@ def _build_parser() -> _ArgumentParser:
     )
     measure.add_argument(
         "--dedup",
-        choices=["endpoint", "cosmic"],
-        default="endpoint",
+        choices=[mode.value for mode in DedupMode],
+        default=DedupMode.ENDPOINT.value,
         help="movement de-duplication key: include the counterpart (endpoint) "
         "or collapse on kind and data group alone (cosmic)",
     )

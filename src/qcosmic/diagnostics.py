@@ -68,6 +68,11 @@ def warning(code: str, message: str, subject: str = "", span: Span | None = None
     return Diagnostic(Severity.WARNING, code, message, subject=subject, span=span)
 
 
+def duplicate(category: str, name: str, span: Span | None) -> Diagnostic:
+    """S2: ``name`` is declared again in ``category``, reported at ``span``."""
+    return error("S2", f"duplicate {category} name {name!r}", name, span)
+
+
 def sort_key(diag: Diagnostic) -> tuple:
     """Stable ordering: file position, then code, then subject."""
     if diag.span is None:

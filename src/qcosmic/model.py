@@ -8,7 +8,8 @@ counterpart (user, storage, another process, or a layer).
 Classicality is a two-valued tag. Layers, users, and storages declare it
 explicitly; data groups and processes derive it:
 
-* a data group is quantum iff at least one attribute is quantum;
+* a data group is quantum iff at least one attribute is quantum, an
+  attribute name declared twice reading as its first declaration;
 * a process is quantum iff its layer is quantum, any movement touches a
   quantum data group, or any movement performs a state-preparation or
   measurement conversion;
@@ -255,11 +256,14 @@ class Model:
 
 
 def data_group_nature(group: DataGroup) -> Nature:
-    """Quantum iff at least one attribute stores quantum information."""
+    """Quantum iff at least one attribute stores quantum information.
+
+    An attribute name declared twice reads as its first declaration.
+    """
+    natures: dict[str, Nature] = {}
     for attr in group.attributes:
-        if attr.nature is Nature.QUANTUM:
-            return Nature.QUANTUM
-    return Nature.CLASSICAL
+        natures.setdefault(attr.name, attr.nature)
+    return Nature.QUANTUM if Nature.QUANTUM in natures.values() else Nature.CLASSICAL
 
 
 def process_nature(process: FunctionalProcess, model: Model) -> Nature:

@@ -65,7 +65,7 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 
-from .diagnostics import Diagnostic, Span, error, has_errors, warning
+from .diagnostics import Diagnostic, Span, duplicate, error, has_errors, warning
 from .model import (
     CATEGORIES,
     Attribute,
@@ -127,17 +127,6 @@ class _Lines:
         return Span(self.file, line, offset - self.starts[line - 1] + 1, length)
 
 
-KEYWORDS = frozenset(
-    {
-        "system", "purpose", "scope",
-        "layer", "user", "storage", "datagroup", "attr", "process",
-        "classical", "quantum",
-        "in", "uses", "from", "to", "via", "prepare", "measure",
-        "entry", "exit", "read", "write",
-        "qentry", "qexit", "qread", "qwrite",
-    }
-)
-
 MOVEMENT_KEYWORDS = {
     "entry": MovementKind.E,
     "exit": MovementKind.X,
@@ -152,12 +141,16 @@ MOVEMENT_KEYWORDS = {
 _DECL_KEYWORDS = frozenset(CATEGORIES)
 # the start of a statement of the system block
 _TOP_LEVEL_STARTERS = _DECL_KEYWORDS | {"purpose", "scope"}
-_KEYWORD_TEXTS = {word: word for word in KEYWORDS}  # the one string per keyword
 _SIMPLE_DECLS = {"layer": Layer, "user": FunctionalUser, "storage": PersistentStorage}
 _NATURES = {nature._value_: nature for nature in Nature}
 _ENDPOINT_KINDS = {kind._value_: kind for kind in EndpointKind}
 _DIRECTIONS = frozenset({"from", "to"})
 _CONVERSIONS = {c._value_: c for c in Conversion if c is not Conversion.NONE}
+# every word that the tables above read, and the five that only the grammar spells
+KEYWORDS = _TOP_LEVEL_STARTERS.union(
+    MOVEMENT_KEYWORDS, _NATURES, _DIRECTIONS, _CONVERSIONS, ("system", "attr", "in", "uses", "via")
+)
+_KEYWORD_TEXTS = {word: word for word in KEYWORDS}  # the one string per keyword
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 _NEWLINE = re.compile(r"\r\n?|\n")
@@ -391,7 +384,7 @@ class _Parser:
 
     def duplicate(self, category: str, name: str, span: Span) -> None:
         self.failed = True
-        self.diagnostics.append(error("S2", f"duplicate {category} name {name!r}", name, span))
+        self.diagnostics.append(duplicate(category, name, span))
 
     def _describe(self, pos: int) -> str:
         kind, text = self.kinds[pos], self.texts[pos]

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .diagnostics import Diagnostic, error, sort_key, warning
-from .formatter import format_movement
+from .diagnostics import Diagnostic, duplicate, error, sort_key, warning
+from .formatter import _KIND_WORDS, format_movement
 from .model import (
     CATEGORIES,
     Conversion,
     EndpointKind,
+    INBOUND_KINDS,
     Model,
     MovementKind,
     Nature,
@@ -93,7 +94,8 @@ def _run_catalog(model: Model) -> tuple[Diagnostic, ...]:
 
 
 def _duplicates(model: Model, found: list[Diagnostic]) -> None:
-    """S2 for each later declaration of a name, in the parser's words.
+    """S2 for each later declaration of a name, built by ``diagnostics.duplicate``
+    like the parser's.
 
     An attribute has no span of its own, so its S2 carries its data group's.
     """
@@ -101,15 +103,13 @@ def _duplicates(model: Model, found: list[Diagnostic]) -> None:
         seen: set[str] = set()
         for decl in getattr(model, attr):
             if decl.name in seen:
-                message = f"duplicate {category} name {decl.name!r}"
-                found.append(error("S2", message, decl.name, decl.span))
+                found.append(duplicate(category, decl.name, decl.span))
             seen.add(decl.name)
     for group in model.data_groups:
         seen = set()
         for attribute in group.attributes:
             if attribute.name in seen:
-                message = f"duplicate attribute name {attribute.name!r}"
-                found.append(error("S2", message, attribute.name, group.span))
+                found.append(duplicate("attribute", attribute.name, group.span))
             seen.add(attribute.name)
 
 
@@ -178,8 +178,7 @@ def _sweep(model: Model, found: list[Diagnostic]) -> None:
                 required = MovementKind.QE if conversion is Conversion.PREPARE else MovementKind.QX
                 if kind is not required:
                     report("R5", (
-                        f"'via {word}' is only legal on "
-                        f"{'qentry' if required is MovementKind.QE else 'qexit'} movements"
+                        f"'via {word}' is only legal on {_KIND_WORDS[required][0]} movements"
                     ))
                 elif layer.nature is not Nature.QUANTUM:
                     report("R5", "conversion crossings belong to a process in a quantum layer")
@@ -206,11 +205,9 @@ def _sweep(model: Model, found: list[Diagnostic]) -> None:
             # R8 reads only entries and exits between processes
             if cp.kind is not EndpointKind.PROCESS or storage_kind:
                 continue
-            sends = kind is MovementKind.X or kind is MovementKind.QX
-            if sends:
-                flow = (process.name, cp.name, movement.data_group, kind is MovementKind.QX)
-            else:
-                flow = (cp.name, process.name, movement.data_group, kind is MovementKind.QE)
+            sends = kind not in INBOUND_KINDS
+            sender, receiver = (process.name, cp.name) if sends else (cp.name, process.name)
+            flow = (sender, receiver, movement.data_group, quantum_kind)
             side = first.get(flow)
             if side is None:
                 first[flow] = sends, process.name

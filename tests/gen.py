@@ -393,15 +393,21 @@ _DECLARATIONS = ("layers", "users", "storages", "data_groups", "processes")
 
 
 def repeat_declarations(rng: random.Random, model: Model) -> Model:
-    """``model`` with a copy of one declaration inserted anywhere in its category.
+    """``model`` with a copy of one declaration inserted anywhere in its category,
+    or of one attribute inserted anywhere in its data group.
 
-    The copy is verbatim or has its nature flipped: a layer, user or storage
-    takes the other nature, a data group gains or loses its quantum
+    The copy is verbatim or has its nature flipped: a layer, user, storage or
+    attribute takes the other nature, a data group gains or loses its quantum
     attributes, and a process moves to a layer of the other nature. A
     process's copy may instead have its uses or its movements edited. Every
     name the copy references is declared.
     """
-    field = rng.choice([field for field in _DECLARATIONS if getattr(model, field)])
+    fields = [field for field in _DECLARATIONS if getattr(model, field)]
+    if any(group.attributes for group in model.data_groups):
+        fields.append("attributes")
+    field = rng.choice(fields)
+    if field == "attributes":
+        return _repeat_attribute(rng, model)
     declared = getattr(model, field)
     copy = rng.choice(declared)
     edit = rng.choice(("verbatim", "nature", "uses", "movements"))
@@ -427,14 +433,36 @@ def repeat_declarations(rng: random.Random, model: Model) -> Model:
     return dataclasses.replace(model, **{field: declared[:at] + (copy,) + declared[at:]})
 
 
+def _repeat_attribute(rng: random.Random, model: Model) -> Model:
+    """``model`` with a copy of one attribute, verbatim or with its nature
+    flipped, inserted anywhere in its data group."""
+    groups = model.data_groups
+    index = rng.choice([i for i, group in enumerate(groups) if group.attributes])
+    attributes = groups[index].attributes
+    copy = rng.choice(attributes)
+    if rng.random() < 0.5:
+        copy = dataclasses.replace(copy, nature=_OTHER[copy.nature])
+    at = rng.randint(0, len(attributes))
+    group = dataclasses.replace(groups[index], attributes=attributes[:at] + (copy,) + attributes[at:])
+    return dataclasses.replace(model, data_groups=groups[:index] + (group,) + groups[index + 1:])
+
+
+def _firsts(declared: tuple) -> tuple:
+    """The first of ``declared`` by each name, in order."""
+    names: dict[str, object] = {}
+    for item in declared:
+        names.setdefault(item.name, item)
+    return tuple(names.values())
+
+
 def first_declarations(model: Model) -> Model:
-    """``model`` without the later declarations of any name."""
-    firsts = {}
-    for field in _DECLARATIONS:
-        names: dict[str, object] = {}
-        for declared in getattr(model, field):
-            names.setdefault(declared.name, declared)
-        firsts[field] = tuple(names.values())
+    """``model`` without the later declarations of any name, or of any
+    attribute name within a data group."""
+    firsts = {field: _firsts(getattr(model, field)) for field in _DECLARATIONS}
+    firsts["data_groups"] = tuple(
+        dataclasses.replace(group, attributes=_firsts(group.attributes))
+        for group in firsts["data_groups"]
+    )
     return dataclasses.replace(model, **firsts)
 
 

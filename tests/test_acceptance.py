@@ -7,18 +7,25 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import time
 from contextlib import contextmanager
 
 from qcosmic import (
+    Attribute,
     DedupMode,
+    Layer,
+    MovementKind,
+    Nature,
     Severity,
     format_model,
     measure_system,
     parse_model,
+    render_dot,
     validate,
 )
 from qcosmic.cli import main
+from qcosmic.parser import quote
 from conftest import FIXTURES, load_fixture
 from gen import inject_duplicate, random_model
 from oracles import cosmic_count
@@ -172,3 +179,204 @@ def test_criterion_7_additivity_and_split_invariants():
                 assert totals.classical_qcfp + totals.quantum_qcfp == totals.total_qcfp
                 for p in report.per_process:
                     assert sum(p.tally.values()) == p.qcfp
+
+
+# -- criterion 8: size is blind to nature, but no more -------------------------
+
+QUANTUM = Nature.QUANTUM
+QUANTUM_KIND = {
+    MovementKind.E: MovementKind.QE,
+    MovementKind.X: MovementKind.QX,
+    MovementKind.R: MovementKind.QR,
+    MovementKind.W: MovementKind.QW,
+}
+
+
+def quantum(declaration):
+    return dataclasses.replace(declaration, nature=QUANTUM)
+
+
+def quantized(model):
+    """``model`` with every kind, layer, user, storage and attribute quantum, a
+    quantum attribute in each group that has none, and one empty classical
+    layer added; returns the model and the added layer's name."""
+    spare = "spare layer"
+    while any(layer.name == spare for layer in model.layers):
+        spare += "'"
+    groups = tuple(
+        dataclasses.replace(
+            group, attributes=tuple(map(quantum, group.attributes)) or (Attribute("q", QUANTUM),)
+        )
+        for group in model.data_groups
+    )
+    processes = tuple(
+        dataclasses.replace(process, movements=tuple(
+            dataclasses.replace(movement, kind=QUANTUM_KIND[movement.kind])
+            for movement in process.movements
+        ))
+        for process in model.processes
+    )
+    return dataclasses.replace(
+        model,
+        layers=tuple(map(quantum, model.layers)) + (Layer(spare, Nature.CLASSICAL),),
+        users=tuple(map(quantum, model.users)),
+        storages=tuple(map(quantum, model.storages)),
+        data_groups=groups,
+        processes=processes,
+    ), spare
+
+
+def single_flips(model):
+    """Each model that makes one layer, user, storage or attribute of ``model``
+    quantum, with the flipped layer's name, or None when no layer is flipped."""
+    for field in ("layers", "users", "storages"):
+        declared = getattr(model, field)
+        for i, declaration in enumerate(declared):
+            flipped = declared[:i] + (quantum(declaration),) + declared[i + 1:]
+            layer = declaration.name if field == "layers" else None
+            yield dataclasses.replace(model, **{field: flipped}), layer
+    groups = model.data_groups
+    for g, group in enumerate(groups):
+        attributes = group.attributes
+        for a, attribute in enumerate(attributes):
+            flipped = attributes[:a] + (quantum(attribute),) + attributes[a + 1:]
+            group = dataclasses.replace(groups[g], attributes=flipped)
+            yield dataclasses.replace(model, data_groups=groups[:g] + (group,) + groups[g + 1:]), None
+
+
+def summary(report) -> dict:
+    """What the relations compare, read from a ``MeasurementReport``."""
+    totals = report.totals
+    return {
+        "total": totals.total_qcfp,
+        "split": (
+            totals.classical_qcfp, totals.quantum_qcfp,
+            totals.classical_percent, totals.quantum_percent,
+        ),
+        "processes": {p.name: (p.qcfp, p.nature.value) for p in report.per_process},
+        "layers": {layer.name: layer.qcfp for layer in report.per_layer},
+        "cfpv5": report.cfpv5_equivalent,
+    }
+
+
+def json_summary(text: str) -> dict:
+    """What the relations compare, read from a ``measure --format json`` report."""
+    report = json.loads(text)
+    return {
+        "total": report["total_qcfp"],
+        "split": (
+            report["classical_qcfp"], report["quantum_qcfp"],
+            report["classical_percent"], report["quantum_percent"],
+        ),
+        "processes": {p["name"]: (p["qcfp"], p["nature"]) for p in report["processes"]},
+        "layers": {layer["name"]: layer["qcfp"] for layer in report["layers"]},
+        "cfpv5": report["cfpv5_equivalent"],
+    }
+
+
+def assert_size_blind_to_nature(before: dict, after: dict, spare: str) -> None:
+    assert after["total"] == before["total"]
+    assert {name: qcfp for name, (qcfp, _) in after["processes"].items()} == {
+        name: qcfp for name, (qcfp, _) in before["processes"].items()
+    }
+    assert after["layers"] == {**before["layers"], spare: 0}
+    classical, quantum_qcfp, classical_percent, quantum_percent = before["split"]
+    assert after["split"] == (quantum_qcfp, classical, quantum_percent, classical_percent)
+    assert before["cfpv5"] is True and after["cfpv5"] is False
+    assert {nature for _, nature in after["processes"].values()} <= {"quantum"}
+
+
+def assert_visible(before: dict, after: dict, layer: str | None, model) -> None:
+    assert after["cfpv5"] is False
+    assert (after["total"], after["split"]) == (before["total"], before["split"])
+    if layer is not None:
+        for process in model.processes:
+            if process.layer == layer:
+                assert after["processes"][process.name][1] == "quantum"
+
+
+# the borders of each process node; a quantum name's HTML label keeps its line breaks
+PROCESS_BORDERS = re.compile(r'^      "process .*?, peripheries=(\d)\];$', re.MULTILINE | re.DOTALL)
+
+
+def assert_drawn_double(dot: str, layer: str, model) -> None:
+    """The DOT cluster of ``layer`` and each of its process nodes have two borders."""
+    start = dot.index(f"\n    subgraph {quote('cluster layer ' + layer)} {{\n")
+    cluster = dot[start:dot.index("\n    }\n", start)]
+    assert "\n      peripheries=2;\n" in cluster
+    borders = PROCESS_BORDERS.findall(cluster)
+    assert borders == ["2"] * sum(process.layer == layer for process in model.processes)
+
+
+def run(capsys, *args: str) -> tuple[int, str]:
+    code = main(list(args))
+    return code, capsys.readouterr().out
+
+
+def test_criterion_8_size_is_blind_to_nature_but_no_more(tmp_path, capsys):
+    """The paper's claim: on a purely classical system, making it quantum
+    changes no size, only the split; and any one quantum element shows."""
+    with criterion(8, "size is blind to nature, but no more"):
+        rng = random.Random(7)
+        for count in range(400):
+            model = random_model(rng, allow_quantum=False)
+            after, spare = quantized(model)
+            assert not any(d.is_error for d in validate(after))
+            for mode in DedupMode:
+                assert_size_blind_to_nature(
+                    summary(measure_system(model, mode)), summary(measure_system(after, mode)), spare
+                )
+            if count >= 10:
+                continue
+            before_path, after_path = tmp_path / "before.qcm", tmp_path / "after.qcm"
+            before_path.write_text(format_model(model), encoding="utf-8")
+            after_path.write_text(format_model(after), encoding="utf-8")
+            for mode in DedupMode:
+                reports = [
+                    run(capsys, "measure", str(path), "--format", "json", "--dedup", mode.value)
+                    for path in (before_path, after_path)
+                ]
+                assert [code for code, _ in reports] == [0, 0]
+                assert_size_blind_to_nature(*(json_summary(out) for _, out in reports), spare)
+            assert run(capsys, "check", str(after_path))[0] == 0
+            for path, border in ((before_path, "1"), (after_path, "2")):
+                code, dot = run(capsys, "diagram", str(path))
+                assert code == 0
+                assert PROCESS_BORDERS.findall(dot) == [border] * len(model.processes)
+
+        rng = random.Random(11)
+        shown = {"error": 0, "visible": 0}
+        for count in range(300):
+            model = random_model(rng, allow_quantum=False)
+            before = {mode: summary(measure_system(model, mode)) for mode in DedupMode}
+            for flipped, layer in single_flips(model):
+                findings = validate(flipped)
+                failed = any(d.is_error for d in findings)
+                if failed:
+                    shown["error"] += 1
+                else:
+                    shown["visible"] += 1
+                    assert "P3" not in {d.code for d in findings}
+                    for mode in DedupMode:
+                        after = summary(measure_system(flipped, mode))
+                        assert_visible(before[mode], after, layer, model)
+                    if layer is not None:
+                        assert_drawn_double(render_dot(flipped), layer, model)
+                if count >= 10:
+                    continue
+                path = tmp_path / "flipped.qcm"
+                path.write_text(format_model(flipped), encoding="utf-8")
+                code, _ = run(capsys, "check", str(path))
+                assert code == (1 if failed else 0)
+                if code == 0:
+                    for mode in DedupMode:
+                        code, out = run(
+                            capsys, "measure", str(path), "--format", "json", "--dedup", mode.value
+                        )
+                        assert code == 0
+                        assert_visible(before[mode], json_summary(out), layer, model)
+                    if layer is not None:
+                        code, dot = run(capsys, "diagram", str(path))
+                        assert code == 0
+                        assert_drawn_double(dot, layer, model)
+        assert shown["error"] and shown["visible"], shown

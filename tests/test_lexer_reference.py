@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcosmic import format_model, parse_model, tokenize
-from qcosmic.parser import MOVEMENT_KEYWORDS
+from qcosmic.parser import KEYWORDS, MOVEMENT_KEYWORDS
 from conftest import FIXTURES, bench_corpus
 from gen import hostile_texts, random_model
-from oracles import reference_tokenize
+from oracles import REFERENCE_KEYWORDS, reference_tokenize
 
 ALPHABET = ' \t\r\n"\\/{}:,' + string.ascii_letters + string.digits + "_é€\x00\x0c"
 
@@ -42,6 +42,12 @@ def assert_same_as_reference(text: str) -> None:
         for movement in process.movements:
             kind, word = at[movement.span]
             assert kind == "keyword" and MOVEMENT_KEYWORDS[word] is movement.kind
+
+
+def test_keywords_are_the_reference_keywords():
+    """The lexer's keywords, built from the parser's tables, equal the
+    reference's hand-written list, including words that no corpus text uses."""
+    assert KEYWORDS == REFERENCE_KEYWORDS
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.qcm")), ids=lambda p: p.name)
