@@ -23,10 +23,12 @@ double-quoted with backslash escapes. Grammar sketch::
 
 The lexer is one compiled pattern read with ``finditer``, one match per
 token, so lexing runs at the regex engine's speed rather than one Python
-step per character. It fills four parallel lists with one entry per token:
-its ``TokenKind``, its text (a string literal's decoded value), its offset
-and its length; ``tokenize`` returns them, and the parser walks them by
-position. Equal spellings are one string, and the parser keeps one
+step per character. It fills four parallel sequences with one entry per
+token: its ``TokenKind``, its text (a string literal's decoded value), its
+offset and its length; ``tokenize`` returns them, and the parser walks them
+by position. The offsets are an ``array('q')`` of machine integers, since
+nearly every offset is too large to be a cached small ``int``; the others
+are lists. Equal spellings are one string, and the parser keeps one
 ``Endpoint`` per distinct counterpart, so names take memory per distinct
 spelling, not per use. A token's line and column are computed on demand from
 the line-start offsets of the text, and the parser asks for them only for the
@@ -51,8 +53,10 @@ declaration keyword and misplaced after it. A movement that lacks only its
 ``from`` or ``to`` reports that one S1 and reads on as if it were there.
 A model is only returned when no error-severity diagnostic was produced; in
 particular every reference in a returned model resolves. After its first
-error, the parser still checks the syntax of every statement and collects
-every reference, but builds no movements.
+error, the parser still checks the syntax of every statement and resolves
+every reference, but builds no movements. A reference whose name is already
+declared resolves as it is read; only the others are kept, and are checked
+once the whole text is read.
 
 Diagnostic codes: L1 lexical error, S1 syntax error, S2 duplicate
 declaration, S3 unresolved reference, W1 empty system (warning).
@@ -62,6 +66,7 @@ from __future__ import annotations
 
 import enum
 import re
+from array import array
 from bisect import bisect_right
 from collections import namedtuple
 
@@ -178,17 +183,18 @@ _WORD, _STRING, _BODY, _CLOSE, _PUNCT, _END, _OTHER = range(1, 8)
 
 
 def tokenize(text: str, file: str = "<input>"):
-    """Lex ``text`` into parallel lists, one entry per token.
+    """Lex ``text`` into parallel sequences, one entry per token.
 
     Returns ``(kinds, texts, offsets, lengths, lines, diagnostics)``: each
     token's ``TokenKind``, text, offset and length, the line index of the
     text, whose ``span(offset, length)`` is a token's span, and the lexical
-    diagnostics. The lists end with the end-of-input token. Lexing continues
-    past errors so one run reports every offending character.
+    diagnostics. ``offsets`` is an ``array('q')``, the others are lists. The
+    sequences end with the end-of-input token. Lexing continues past errors
+    so one run reports every offending character.
     """
     kinds: list[TokenKind] = []
     texts: list[str] = []
-    offsets: list[int] = []
+    offsets = array("q")
     lengths: list[int] = []
     diagnostics: list[Diagnostic] = []
     # A name recurs at every use, so each distinct spelling is one string:
@@ -307,14 +313,14 @@ class _Failed(Exception):
 class _Parser:
     """Recursive-descent parser with statement-level error recovery.
 
-    A token is a position in the scanner's parallel lists; ``pos`` is the
+    A token is a position in the scanner's parallel sequences; ``pos`` is the
     current one, and it never moves past the end-of-input token. ``failed``
     turns on at the first error, after which no model is returned, so
     movements are still checked but no longer built.
     """
 
     def __init__(
-        self, kinds: list[TokenKind], texts: list[str], offsets: list[int],
+        self, kinds: list[TokenKind], texts: list[str], offsets: array,
         lengths: list[int], lines: _Lines, failed: bool = False,
     ):
         self.kinds = kinds
@@ -329,7 +335,9 @@ class _Parser:
         self.diagnostics: list[Diagnostic] = []
         # category -> name -> declaration, in declaration order
         self.declared: dict[str, dict[str, object]] = {category: {} for category in CATEGORIES}
-        # category -> position of the name of every reference, for resolution errors
+        # category -> position of the name of every reference that names no
+        # declaration yet when it is read; ``declared`` only grows, so the
+        # others resolve, and only these can be resolution errors
         self.references: dict[str, list[int]] = {category: [] for category in CATEGORIES}
         # endpoint keyword -> name -> the one counterpart of that kind and name
         self.endpoints: dict[str, dict[str, Endpoint]] = {word: {} for word in _ENDPOINT_KINDS}
@@ -393,6 +401,11 @@ class _Parser:
         if kind is STRING:
             return f'string "{text}"'
         return f"{text!r}"
+
+    def refer(self, category: str, pos: int) -> None:
+        """Keep the reference at ``pos`` for S3 unless its name is already declared."""
+        if self.texts[pos] not in self.declared[category]:
+            self.references[category].append(pos)
 
     def declare(self, category: str, decl) -> None:
         """Keep ``decl`` under its name, or report S2 at its span if the name is taken."""
@@ -506,14 +519,14 @@ class _Parser:
         self.expect("'in'", "in")
         self.expect("'layer'", "layer")
         layer = self.expect("layer name string")
-        self.references["layer"].append(layer)
+        self.refer("layer", layer)
         uses: list[str] = []
         more = self.at("uses")
         while more:
             self.advance()
             used = self.expect("process name string")
             uses.append(self.texts[used])
-            self.references["process"].append(used)
+            self.refer("process", used)
             more = self.at(",")
         self.expect("'{'", "{")
         return name, layer, uses
@@ -524,7 +537,7 @@ class _Parser:
         The tokens are tested in place, in the order ``expect`` would take them;
         a test passes only on a token other than the end of input, so the next
         position always exists. The movement is appended to ``movements``
-        unless the parse has already failed; its references are kept either way.
+        unless the parse has already failed; its references are resolved either way.
         """
         kinds, texts, start = self.kinds, self.texts, self.pos
         group, direction, endpoint, name = start + 1, start + 2, start + 3, start + 4
@@ -551,8 +564,12 @@ class _Parser:
             pos += 1
         self.pos = pos
         word, far_name = texts[endpoint], texts[name]
-        self.references["datagroup"].append(group)
-        self.references[word].append(name)  # the keyword names the category
+        # ``refer`` in place, like the token tests; the keyword names the category
+        declared, references = self.declared, self.references
+        if texts[group] not in declared["datagroup"]:
+            references["datagroup"].append(group)
+        if far_name not in declared[word]:
+            references[word].append(name)
         if self.failed:
             return
         shared = self.endpoints[word]
@@ -601,7 +618,11 @@ class _Parser:
 
 
 def _check_references(parser: _Parser, diagnostics: list[Diagnostic]) -> None:
-    """Report S3 for every reference that names no declaration, in text order."""
+    """Report S3 for every kept reference that names no declaration, in text order.
+
+    The parser keeps only the references whose names were not yet declared
+    when it read them; a later declaration resolves them here.
+    """
     texts, declared = parser.texts, parser.declared
     unresolved = sorted(
         (pos, category)

@@ -25,6 +25,8 @@ ALPHABET = ' \t\r\n"\\/{}:,' + string.ascii_letters + string.digits + "_é€\x0
 
 def assert_same_as_reference(text: str) -> None:
     kinds, texts, offsets, lengths, lines, diagnostics = tokenize(text, file="d.qcm")
+    assert offsets.typecode == "q"
+    assert type(kinds) is type(texts) is type(lengths) is list
     expected_tokens, expected_diagnostics = reference_tokenize(text, file="d.qcm")
     spans = map(lines.span, offsets, lengths)
     tokens = [(kind.value, word, span) for kind, word, span in zip(kinds, texts, spans)]

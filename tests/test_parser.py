@@ -320,12 +320,32 @@ class TestParseModel:
             ("unresolved storage reference 'E'", "E", 11, 59),
         ]
 
-    def test_forward_references_resolve(self):
-        result = parse_model(
-            'system "S" { layer classical "A" '
-            'process "P" in layer "A" uses "Q" {} '
-            'process "Q" in layer "A" {} }'
-        )
+    _DECLARATIONS = {
+        "layer": 'layer classical "A"',
+        "user": 'user classical "U"',
+        "storage": 'storage classical "D"',
+        "datagroup": 'datagroup "g" { attr a: classical }',
+        "process": 'process "Q" in layer "A" {}',
+    }
+
+    @pytest.mark.parametrize("category", list(_DECLARATIONS))
+    def test_forward_references_resolve(self, category):
+        """A name first read in a process declared before it resolves: the
+        parser keeps exactly these references until the text is read."""
+        earlier = [text for name, text in self._DECLARATIONS.items() if name != category]
+        text = "\n".join([
+            'system "S" {',
+            *earlier,
+            'process "P" in layer "A" uses "Q" {',
+            '  entry "g" from user "U"',
+            '  read "g" from storage "D"',
+            '  exit "g" to process "Q"',
+            '}',
+            self._DECLARATIONS[category],
+            '}',
+        ])
+        result = parse_model(text)
+        assert result.diagnostics == []
         assert result.model is not None
 
     def test_recovery_reports_multiple_errors(self):

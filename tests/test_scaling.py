@@ -17,7 +17,10 @@ scan over names is counted even when a built-in such as ``in`` runs it.
 
 The ``tracemalloc`` peak of ``parse_model`` per token, after one warm-up
 parse, is held to the same bound for the four corpus families, so a parse
-that keeps more than a constant amount per token fails too.
+that keeps more than a constant amount per token fails too. At 4x that peak
+is also held to at most ``PEAK_BYTES_PER_TOKEN``. A parse that keeps each
+token offset as an ``int`` object and the position of every reference, not
+only of those read before their declaration, reads 111-121 bytes per token.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ BOUND = 1.05
 SCALES = (1, 4)
 WIDE_MOVEMENTS = 128  # per scale unit
 SEED = 3
+PEAK_BYTES_PER_TOKEN = 90  # the parse's tracemalloc peak at 4x
 
 PARSE_STAGES = ("tokenize", "parse_model")
 CHECK_STAGES = PARSE_STAGES + ("validate",)
@@ -166,4 +170,13 @@ def test_parse_peak_memory_per_token_does_not_grow_with_scale(family):
     small, large = (_peak_bytes_per_token(family, scale) for scale in SCALES)
     assert large <= BOUND * small, (
         f"{family}: {small:.0f} bytes per token at {SCALES[0]}x, {large:.0f} at {SCALES[1]}x"
+    )
+
+
+@pytest.mark.parametrize("family", ["text", "resolve", "bad-parse", "bad-rules"])
+def test_parse_peak_memory_per_token_is_bounded(family):
+    peak = _peak_bytes_per_token(family, SCALES[-1])
+    assert peak <= PEAK_BYTES_PER_TOKEN, (
+        f"{family}: {peak:.0f} bytes per token at {SCALES[-1]}x, "
+        f"more than {PEAK_BYTES_PER_TOKEN}"
     )
