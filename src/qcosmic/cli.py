@@ -8,28 +8,16 @@ Exit codes are stable for CI use:
   3  usage or I/O error, including input that is not valid UTF-8 and a closed
      or unwritable stdout or stderr, even when validation errors were found
   4  internal error: a fault in qcosmic itself, never reported as 0 or 1
-  130  interrupted (Ctrl-C), reported as one line on stderr
+  130  interrupted (Ctrl-C), reported as one line on stderr, also while the
+       command's modules are still loading
 
 Reports go to stdout (or the ``-o`` file); diagnostics go to stderr. The
 two streams never carry each other's content. A report on stdout is UTF-8,
 byte-identical to the ``-o`` file, whatever the locale's encoding.
 """
 
-from __future__ import annotations
-
-import argparse
 import os
 import sys
-
-from .diagnostics import Diagnostic, has_errors, render_all, sort_key
-from .emit import RenderOptions, render_csv, render_dot, render_json, render_text
-from .formatter import format_model
-from .measure import DedupMode, measure_system
-from .model import Model, UnresolvedReferenceError
-from .parser import parse_model
-from .rules import validate
-
-__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -37,6 +25,41 @@ EXIT_PARSE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
+
+
+def _report(message: str, code: int) -> int:
+    """Write ``message`` to stderr if it can still take it, and return ``code``.
+
+    A stream that cannot be written gets the null device, so the flush at
+    exit has nothing to fail on.
+    """
+    for stream, text in ((sys.stderr, message + "\n"), (sys.stdout, "")):
+        if stream is not None:
+            try:
+                stream.write(text)
+                stream.flush()
+            except OSError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
+
+
+# Ctrl-C while these load ends as it does once main runs. The stage names stay
+# module attributes: main calls them through this module's globals, where the
+# benchmark's tracer wraps them.
+try:
+    import argparse
+
+    from .diagnostics import Diagnostic, has_errors, render_all, sort_key
+    from .emit import RenderOptions, render_csv, render_dot, render_json, render_text
+    from .formatter import format_model
+    from .measure import DedupMode, measure_system
+    from .model import Model, UnresolvedReferenceError
+    from .parser import parse_model
+    from .rules import validate
+except KeyboardInterrupt:
+    raise SystemExit(_report("qcosmic: interrupted", EXIT_INTERRUPTED))
+
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -205,16 +228,7 @@ def main(argv: list[str] | None = None) -> int:
         # CI reads 0 as clean and 1 as validation errors; a fault in qcosmic
         # must not pass for either, nor end in a traceback
         message, code = f"qcosmic: internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL
-    # the message goes to stderr if it can still take it; a stream that cannot be
-    # written gets the null device, so the flush at exit has nothing to fail on
-    for stream, text in ((sys.stderr, message + "\n"), (sys.stdout, "")):
-        if stream is not None:
-            try:
-                stream.write(text)
-                stream.flush()
-            except OSError:
-                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
-    return code
+    return _report(message, code)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,5 @@
 """The public surface: every exported name exists, the plain records keep their
-contract, and the CLI loads only what it uses.
+contract, and the package and the CLI load only what they use.
 
 The CLI and the parser also run under ``python -I -S``: no site-packages and
 no ``PYTHON*`` variables, so an import of any third-party package fails and
@@ -47,6 +47,32 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [export for export in getattr(module, "__all__", ()) if not hasattr(module, export)]
     assert missing == []
+
+
+PACKAGE_EXPORTS = [
+    "Attribute", "Conversion", "DataGroup", "DataMovement", "DedupMode", "Diagnostic",
+    "Endpoint", "EndpointKind", "FunctionalProcess", "FunctionalUser", "Layer",
+    "LayerMeasure", "MeasurementReport", "Model", "MovementKind", "Nature", "ParseResult",
+    "PersistentStorage", "ProcessMeasure", "RenderOptions", "Severity", "Span", "TokenKind",
+    "Totals", "UnresolvedReferenceError", "UnvalidatedModelError", "data_group_nature",
+    "format_model", "measure_system", "parse_model", "process_nature", "render_csv",
+    "render_dot", "render_json", "render_text", "system_nature", "tokenize",
+    "unique_movements", "validate", "__version__",
+]
+
+
+def test_package_exports_are_the_defining_modules_objects():
+    assert qcosmic.__all__ == PACKAGE_EXPORTS
+    for name in PACKAGE_EXPORTS[:-1]:
+        value = getattr(qcosmic, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("qcosmic.") and getattr(home, name) is value, name
+    assert set(PACKAGE_EXPORTS) <= set(dir(qcosmic))
+    namespace = {}
+    exec("from qcosmic import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(PACKAGE_EXPORTS)
+    with pytest.raises(AttributeError, match="^module 'qcosmic' has no attribute 'nope'$"):
+        qcosmic.nope
 
 
 _PROCESS = ProcessMeasure("p", "l", Nature.QUANTUM, 2, {MovementKind.E: 1, MovementKind.QX: 1})
@@ -167,6 +193,31 @@ def test_cli_import_does_not_load_typing():
     assert result.stdout == "False False\n"
 
 
+_STAGES = [f"qcosmic.{name}" for name in (
+    "diagnostics", "emit", "formatter", "measure", "model", "parser", "rules",
+)]
+
+
+@pytest.mark.parametrize("statement, loaded", [
+    ("import qcosmic", ["qcosmic"]),
+    ("from qcosmic import parse_model",
+     ["qcosmic", "qcosmic.diagnostics", "qcosmic.model", "qcosmic.parser"]),
+    ("import qcosmic; qcosmic.model", ["qcosmic", "qcosmic.diagnostics", "qcosmic.model"]),
+    ("import qcosmic.cli", ["csv", "json", "qcosmic", "qcosmic.cli", *_STAGES]),
+])
+def test_package_loads_only_what_is_used(statement, loaded):
+    probe = (
+        f"import sys; sys.path[:0] = [{str(SRC)!r}]; {statement}; "
+        "print(*sorted(name for name in sys.modules "
+        "if name in ('csv', 'json') or name.partition('.')[0] == 'qcosmic'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == loaded
+
+
 def _bare(code: str, *args: str, **kwargs) -> subprocess.CompletedProcess:
     """``code`` run by ``python -I -S -c`` with ``args``."""
     return subprocess.run(
@@ -246,6 +297,59 @@ def test_failed_standard_stream_exits_three(argv, redirect):
     assert result.stderr == b"" or (
         result.stderr.startswith(b"qcosmic: ") and len(result.stderr.splitlines()) == 1
     )
+
+
+# Ctrl-C at a fixed point while qcosmic loads: a finder that raises
+# KeyboardInterrupt when the module named by argv[2] is looked up, then one of
+# the CLI's two entry forms, `python -m qcosmic.cli` and the console script's
+# import of main
+_INTERRUPTED = """
+import sys
+sys.path[:0] = [sys.argv.pop(1)]
+loading = sys.argv.pop(1)
+
+class Interrupt:
+    @staticmethod
+    def find_spec(name, *args):
+        if name == loading:
+            raise KeyboardInterrupt
+        return None
+
+sys.meta_path.insert(0, Interrupt)
+"""
+_ENTRY_FORMS = {
+    "run-module": "import runpy; runpy.run_module('qcosmic.cli', run_name='__main__')",
+    "console-script": "from qcosmic.cli import main; sys.exit(main())",
+}
+
+
+@pytest.mark.parametrize("form", _ENTRY_FORMS)
+@pytest.mark.parametrize("loading", ["__future__", "argparse", *_STAGES])
+def test_interrupt_while_loading_exits_130(loading, form):
+    result = _bare(
+        _INTERRUPTED + _ENTRY_FORMS[form], str(SRC), loading, "check", str(FIXTURES / "factoring.qcm")
+    )
+    assert result.returncode == 130, result.stderr
+    assert result.stdout == b""
+    assert result.stderr == b"qcosmic: interrupted\n"
+
+
+@pytest.mark.parametrize("form", _ENTRY_FORMS)
+@pytest.mark.parametrize("redirect", ["2>&-", "2>/dev/full"])
+def test_interrupt_while_loading_with_failed_stderr_exits_130(redirect, form):
+    if "/dev/full" in redirect and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    code = _INTERRUPTED + _ENTRY_FORMS[form]
+    argv = [sys.executable, "-I", "-S", "-c", code, str(SRC), "qcosmic.rules", "check",
+            str(FIXTURES / "factoring.qcm")]
+    # exec: the status is Python's own, not the shell's 130 for a death by SIGINT
+    result = subprocess.run(
+        ["sh", "-c", f"exec {shlex.join(argv)} {redirect}"], capture_output=True, timeout=60
+    )
+    assert result.returncode == 130, result.stderr
+    assert result.stdout == b""
+    assert b"Traceback" not in result.stderr
+    assert b"Exception ignored" not in result.stderr
 
 
 _ROUND_TRIP = """
